@@ -6,8 +6,8 @@
 # depth-6 exhaustive-exploration smoke; tier3 is the differential
 # model-checking pass: 5000 randomized schedules against the reference
 # oracle, the full depth-8 exhaustive enumeration (`make modelcheck`), a
-# short native-fuzz smoke over the op encoding, access validator, and report
-# codec, plus a chaos-soak smoke (fault injection + self-healing
+# short native-fuzz smoke over the op encoding, access validator, report
+# codec, and page table, plus a chaos-soak smoke (fault injection + self-healing
 # supervision, see `make chaos`). See TESTING.md.
 
 GO ?= go
@@ -97,6 +97,7 @@ modelcheck-smoke:
 	MODELCHECK_DEPTH=6 $(GO) test ./internal/simtest -run 'TestModelCheckSmoke$$' -count=1 -v
 
 fuzz-smoke:
+	$(GO) test ./internal/pt -run '^$$' -fuzz '^FuzzTableOps$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/simtest -run '^$$' -fuzz '^FuzzScheduleOps$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sgx -run '^$$' -fuzz '^FuzzAccessValidate$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sgx -run '^$$' -fuzz '^FuzzReportParse$$' -fuzztime $(FUZZTIME)
@@ -134,12 +135,16 @@ adversary:
 adversary-smoke:
 	$(GO) test ./internal/bench -run 'TestAttackCampaign$$|TestAttackReplayDeterminism$$' -count=1 -v
 
-# bench runs the paper-experiment benchmarks (root package) once each, and
-# the transition-path microbenchmarks (internal/bench: ECall, OCall, NECall,
-# PageWalk, SwitchlessOCall) with ns/op and allocs/op reporting.
+# bench runs the paper-experiment benchmarks (root package) once each, the
+# transition-path microbenchmarks (internal/bench: ECall, OCall, NECall,
+# PageWalk, SwitchlessOCall) with ns/op and allocs/op reporting, and the
+# loading-path microbenchmarks: page-table writes at 1k/8k/64k resident pages
+# (ns/op should stay flat across sizes) and MEE line writeback/fetch (0
+# allocs/op).
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 	$(GO) test -bench='ECall|OCall|PageWalk' -benchtime=200x -run=^$$ ./internal/bench
+	$(GO) test -bench='TableMap|MEE' -benchmem -run=^$$ ./internal/pt ./internal/mee
 
 clean:
 	$(GO) clean ./...

@@ -22,7 +22,9 @@ import (
 // DRAM). Lines crossing it are subject to protection.
 type Backend interface {
 	// ReadLine fetches the 64-byte line at the (line-aligned) address.
-	// It may return an integrity fault.
+	// It may return an integrity fault. The returned slice may be backend
+	// scratch that stays valid across WriteLine calls but only until the
+	// next ReadLine, so callers copy out of it and never write to it.
 	ReadLine(p isa.PAddr) ([]byte, error)
 	// WriteLine stores the 64-byte line at the (line-aligned) address.
 	WriteLine(p isa.PAddr, data []byte) error

@@ -64,9 +64,17 @@ type evictKey struct {
 	vaddr isa.VAddr
 }
 
-// CreateEnclave performs ECREATE on behalf of the loader.
+// CreateEnclave performs ECREATE on behalf of the loader. The SECS page is an
+// EPC allocation like any other, so a full EPC pages a victim out and
+// retries. No enclave exists yet whose pages the pager should spare (EID 0).
 func (d *Driver) CreateEnclave(base isa.VAddr, size uint64, attrs uint64) (*sgx.SECS, error) {
-	return d.k.m.ECreate(base, size, attrs)
+	var s *sgx.SECS
+	_, err := d.retryPaging(0, func() (int, error) {
+		var err error
+		s, err = d.k.m.ECreate(base, size, attrs)
+		return 0, err
+	})
+	return s, err
 }
 
 // AddPage performs EADD and maps the new EPC page into the process address
@@ -122,6 +130,12 @@ func (d *Driver) withPressure(s *sgx.SECS, alloc func() (int, error)) (int, erro
 	if err := d.k.chaos.FireErr(chaos.SiteEPCAlloc, true); err != nil {
 		return 0, fmt.Errorf("kos: EPC allocation failed: %w", err)
 	}
+	return d.retryPaging(s.EID, alloc)
+}
+
+// retryPaging runs alloc, and while it fails on an exhausted EPC evicts a
+// victim (preferring pages not owned by avoid) and tries again.
+func (d *Driver) retryPaging(avoid isa.EID, alloc func() (int, error)) (int, error) {
 	const maxAttempts = 8
 	var lastErr error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
@@ -133,7 +147,7 @@ func (d *Driver) withPressure(s *sgx.SECS, alloc func() (int, error)) (int, erro
 		if d.k.m.FreeEPCPages() > 0 {
 			return 0, err // not a pressure failure
 		}
-		if derr := d.makeRoom(s.EID); derr != nil {
+		if derr := d.makeRoom(avoid); derr != nil {
 			return 0, fmt.Errorf("kos: EPC exhausted and paging daemon failed: %v (alloc: %w)", derr, err)
 		}
 	}

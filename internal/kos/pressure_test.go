@@ -162,3 +162,44 @@ func TestPagingDaemonThrashing(t *testing.T) {
 		t.Fatalf("stale translations after thrash: %v", bad)
 	}
 }
+
+// TestCreateEnclaveUnderPressure fills the EPC exactly with one enclave's
+// evictable pages and then loads a second enclave: ECREATE's SECS page must
+// page a victim out like EADD does, not fail with an exhausted EPC.
+func TestCreateEnclaveUnderPressure(t *testing.T) {
+	m := tinyEPCMachine()
+	k := kos.New(m)
+	p := k.NewProcess()
+	c := m.Core(0)
+	if err := k.Schedule(c, p); err != nil {
+		t.Fatal(err)
+	}
+	fill := m.FreeEPCPages() - 2 // all but the SECS and TCS pages
+	buildEnclaveN(t, k, p, 0x1000_0000, fill)
+	if free := m.FreeEPCPages(); free != 0 {
+		t.Fatalf("EPC not full after the first enclave: %d free pages", free)
+	}
+	if k.Driver.EvictedCount() != 0 {
+		t.Fatalf("first enclave already paged: %d evicted", k.Driver.EvictedCount())
+	}
+
+	const n = 8
+	base := isa.VAddr(0x2000_0000)
+	s := buildEnclaveN(t, k, p, base, n)
+	if k.Driver.EvictedCount() == 0 {
+		t.Fatal("second enclave loaded into a full EPC without evictions")
+	}
+	if err := m.EEnter(c, s, base+n*isa.PageSize, false); err != nil {
+		t.Fatalf("enter second enclave: %v", err)
+	}
+	defer func() { _ = m.EExit(c, true) }()
+	for pg := 0; pg < n; pg++ {
+		got, err := c.Read(base+isa.VAddr(pg)*isa.PageSize+100, 4)
+		if err != nil {
+			t.Fatalf("page %d: %v", pg, err)
+		}
+		if !bytes.Equal(got, bytes.Repeat([]byte{byte(pg + 1)}, 4)) {
+			t.Fatalf("page %d: content %v, want %#x", pg, got, pg+1)
+		}
+	}
+}

@@ -39,7 +39,6 @@ import (
 type lineMeta struct {
 	version uint64
 	tag     [16]byte
-	written bool
 }
 
 // Engine is the memory encryption engine. It implements cache.Backend.
@@ -48,7 +47,7 @@ type Engine struct {
 	mem  *phys.Memory
 	rec  *trace.Recorder
 	aead cipher.AEAD
-	meta map[uint64]*lineMeta // line index -> integrity metadata
+	meta map[uint64]*lineMeta // line index -> integrity metadata; absent = never written
 
 	// Enabled can be cleared to model a machine without memory encryption
 	// (plaintext PRM), used by tests that contrast physical attacks.
@@ -64,7 +63,21 @@ type Engine struct {
 	// to the owning enclave instead of aborting. Called on the memory
 	// path, i.e. under the machine lock.
 	Poison func(p isa.PAddr)
+
+	// Scratch for the line path, so a line operation allocates nothing.
+	// Every backend call runs under the LLC's lock (or the machine's
+	// exclusive lock), which serializes use of these arrays. The read and
+	// write sides are disjoint because the cache holds a fetched line across
+	// the victim writeback that makes room for it.
+	nonceBuf [12]byte
+	wct      [isa.LineSize + 16]byte // Seal output: ciphertext || tag
+	rct      [isa.LineSize + 16]byte // fetched ciphertext || stored tag
+	rpt      [isa.LineSize]byte      // Open output
 }
+
+// zeroLine is what a fetch of a never-written PRM line returns. Shared and
+// read-only: callers of ReadLine copy out of the returned slice.
+var zeroLine [isa.LineSize]byte
 
 // New builds an engine over the DRAM with a fresh random platform key.
 // rec may be nil.
@@ -103,7 +116,7 @@ func (e *Engine) charge(ev trace.Event, cost int64) {
 }
 
 func (e *Engine) nonce(idx, version uint64) []byte {
-	n := make([]byte, 12)
+	n := e.nonceBuf[:]
 	binary.LittleEndian.PutUint64(n[:8], idx)
 	binary.LittleEndian.PutUint32(n[8:], uint32(version))
 	// Version counters exceed 2^32 only after 4 billion writebacks of a
@@ -135,8 +148,7 @@ func (e *Engine) WriteLine(p isa.PAddr, data []byte) error {
 		e.meta[idx] = m
 	}
 	m.version++
-	m.written = true
-	ct := e.aead.Seal(nil, e.nonce(idx, m.version), data, nil)
+	ct := e.aead.Seal(e.wct[:0], e.nonce(idx, m.version), data, nil)
 	copy(m.tag[:], ct[isa.LineSize:])
 	e.mem.Write(p, ct[:isa.LineSize])
 	e.charge(trace.EvMEEEncrypt, trace.CostMEELine)
@@ -144,26 +156,28 @@ func (e *Engine) WriteLine(p isa.PAddr, data []byte) error {
 }
 
 // ReadLine implements cache.Backend: a line fetch. PRM lines are decrypted
-// and integrity-verified; tampering raises a machine-check fault.
+// and integrity-verified; tampering raises a machine-check fault. The
+// returned slice is engine scratch, valid until the next ReadLine.
 func (e *Engine) ReadLine(p isa.PAddr) ([]byte, error) {
 	if p.Offset()&isa.LineMask != 0 {
 		return nil, fmt.Errorf("mee: unaligned line fetch at %#x", uint64(p))
 	}
-	raw := e.mem.Read(p, isa.LineSize)
+	raw := e.rct[:isa.LineSize]
 	if !e.mem.InPRM(p) || !e.Enabled {
+		e.mem.ReadInto(p, raw)
 		return raw, nil
 	}
 	idx := uint64(p) >> isa.LineShift
 	m := e.meta[idx]
-	if m == nil || !m.written {
+	if m == nil {
 		// Never written through the engine: architecturally the content of a
 		// fresh EPC page is undefined; the simulator returns zeroes (EPC
 		// pages are zeroed by EADD/EAUG before use anyway).
-		return make([]byte, isa.LineSize), nil
+		return zeroLine[:], nil
 	}
-	ct := make([]byte, 0, isa.LineSize+16)
-	ct = append(ct, raw...)
-	ct = append(ct, m.tag[:]...)
+	e.mem.ReadInto(p, raw)
+	ct := e.rct[:]
+	copy(ct[isa.LineSize:], m.tag[:])
 	if e.Chaos.Fire(chaos.SiteDRAMBitFlip) {
 		// A disturbance hit this line while it sat in DRAM. Flipping the
 		// ciphertext (only on PRM lines, only before Open) guarantees the
@@ -172,7 +186,7 @@ func (e *Engine) ReadLine(p isa.PAddr) ([]byte, error) {
 		bit := e.Chaos.Rand(uint64(isa.LineSize * 8))
 		ct[bit/8] ^= 1 << (bit % 8)
 	}
-	pt, err := e.aead.Open(nil, e.nonce(idx, m.version), ct, nil)
+	pt, err := e.aead.Open(e.rpt[:0], e.nonce(idx, m.version), ct, nil)
 	if err != nil {
 		e.charge(trace.EvFaultMC, 0)
 		if e.Poison != nil {

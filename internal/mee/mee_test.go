@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"nestedenclave/internal/chaos"
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/phys"
 	"nestedenclave/internal/trace"
@@ -171,5 +172,131 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLinePathAllocs pins the steady-state line path at zero allocations:
+// writebacks and fetches of PRM lines (encrypt, decrypt and verify), of
+// never-written PRM lines, and of non-PRM lines.
+func TestLinePathAllocs(t *testing.T) {
+	e, _, _ := newEngine()
+	prm, fresh, plain := layout().PRMBase, layout().PRMBase+isa.PageSize, isa.PAddr(isa.PageSize)
+	data := line(0x5a)
+	for _, p := range []isa.PAddr{prm, plain} {
+		if err := e.WriteLine(p, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		f    func() error
+	}{
+		{"WriteLine PRM", func() error { return e.WriteLine(prm, data) }},
+		{"ReadLine PRM", func() error { _, err := e.ReadLine(prm); return err }},
+		{"ReadLine unwritten PRM", func() error { _, err := e.ReadLine(fresh); return err }},
+		{"WriteLine non-PRM", func() error { return e.WriteLine(plain, data) }},
+		{"ReadLine non-PRM", func() error { _, err := e.ReadLine(plain); return err }},
+	} {
+		var err error
+		if n := testing.AllocsPerRun(100, func() { err = c.f() }); n != 0 {
+			t.Errorf("%s: %v allocs, want 0", c.name, n)
+		}
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+	}
+}
+
+// TestFillInterleave replays the LLC's fill order — fetch the new line,
+// write back the dirty victim, only then copy the fetched bytes — and checks
+// that the writeback leaves the fetched line intact (the read and write
+// scratch must not alias).
+func TestFillInterleave(t *testing.T) {
+	e, _, _ := newEngine()
+	for _, base := range []isa.PAddr{layout().PRMBase, 0} {
+		fetched, victim := base+0x40, base+0x80
+		for _, w := range []struct {
+			p    isa.PAddr
+			fill byte
+		}{{fetched, 0x11}, {victim, 0x22}} {
+			if err := e.WriteLine(w.p, line(w.fill)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		data, err := e.ReadLine(fetched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.WriteLine(victim, line(0x33)); err != nil {
+			t.Fatal(err)
+		}
+		var filled [isa.LineSize]byte
+		copy(filled[:], data)
+		if !bytes.Equal(filled[:], line(0x11)) {
+			t.Fatalf("base %#x: fetched line clobbered by the victim writeback: %v", uint64(base), filled[:8])
+		}
+		got, err := e.ReadLine(victim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, line(0x33)) {
+			t.Fatalf("base %#x: victim reads back %v", uint64(base), got[:8])
+		}
+	}
+}
+
+// TestChaosBitFlipDetected injects one DRAM bit flip on a fetch: it must
+// surface as a machine check and poison the line, and because the flip lands
+// in the fetch scratch, not in DRAM, the next fetch verifies cleanly.
+func TestChaosBitFlipDetected(t *testing.T) {
+	e, _, rec := newEngine()
+	e.Chaos = chaos.New(chaos.Config{Seed: 1, Sites: map[chaos.Site]chaos.SiteConfig{
+		chaos.SiteDRAMBitFlip: {Prob: 1, Budget: 1},
+	}}, nil)
+	var poisoned []isa.PAddr
+	e.Poison = func(p isa.PAddr) { poisoned = append(poisoned, p) }
+	p := layout().PRMBase + 0x1c0
+	if err := e.WriteLine(p, line(0x77)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.ReadLine(p); !isa.IsFault(err, isa.FaultMC) {
+		t.Fatalf("flipped line read returned %v, want #MC", err)
+	}
+	if len(poisoned) != 1 || poisoned[0] != p || rec.Get(trace.EvFaultMC) != 1 {
+		t.Fatalf("poisoned %v, %d machine checks; want [%#x], 1", poisoned, rec.Get(trace.EvFaultMC), uint64(p))
+	}
+	got, err := e.ReadLine(p)
+	if err != nil || !bytes.Equal(got, line(0x77)) {
+		t.Fatalf("fetch after the flip: %v, %v", got, err)
+	}
+}
+
+func BenchmarkMEEWriteLine(b *testing.B) {
+	e, _, _ := newEngine()
+	data := line(0x5a)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := layout().PRMBase + isa.PAddr(i%4096)*isa.LineSize
+		if err := e.WriteLine(p, data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkMEEReadLine(b *testing.B) {
+	e, _, _ := newEngine()
+	data := line(0x5a)
+	for i := 0; i < 4096; i++ {
+		if err := e.WriteLine(layout().PRMBase+isa.PAddr(i)*isa.LineSize, data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.ReadLine(layout().PRMBase + isa.PAddr(i%4096)*isa.LineSize); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

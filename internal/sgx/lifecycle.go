@@ -21,14 +21,14 @@ func (m *Machine) ECreate(base isa.VAddr, size uint64, attributes uint64) (*SECS
 		return nil, isa.GP("ECREATE: ELRANGE [%#x,+%#x) not page-aligned", uint64(base), size)
 	}
 	eid := m.nextEID
-	m.nextEID++
 	// Enclave-build work (the SECS page, its eventual MEE metadata) bills to
 	// the enclave being created.
 	m.Rec.SetBillHint(uint64(eid))
 	page, err := m.EPC.Alloc(eid, isa.PTSECS, 0, 0)
 	if err != nil {
-		return nil, isa.GP("ECREATE: %v", err)
+		return nil, isa.GP("ECREATE: %v", err) // the EID is not consumed
 	}
+	m.nextEID++
 	s := &SECS{
 		EID:          eid,
 		Base:         base,
