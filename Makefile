@@ -7,8 +7,8 @@
 # model-checking pass: 5000 randomized schedules against the reference
 # oracle, the full depth-8 exhaustive enumeration (`make modelcheck`), a
 # short native-fuzz smoke over the op encoding, access validator, report
-# codec, and page table, plus a chaos-soak smoke (fault injection + self-healing
-# supervision, see `make chaos`). See TESTING.md.
+# codec, page table, and MEE line operations, plus a chaos-soak smoke (fault
+# injection + self-healing supervision, see `make chaos`). See TESTING.md.
 
 GO ?= go
 SIMTEST_SCHEDULES ?= 5000
@@ -98,6 +98,7 @@ modelcheck-smoke:
 
 fuzz-smoke:
 	$(GO) test ./internal/pt -run '^$$' -fuzz '^FuzzTableOps$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mee -run '^$$' -fuzz '^FuzzEngineOps$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/simtest -run '^$$' -fuzz '^FuzzScheduleOps$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sgx -run '^$$' -fuzz '^FuzzAccessValidate$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sgx -run '^$$' -fuzz '^FuzzReportParse$$' -fuzztime $(FUZZTIME)
@@ -139,8 +140,9 @@ adversary-smoke:
 # transition-path microbenchmarks (internal/bench: ECall, OCall, NECall,
 # PageWalk, SwitchlessOCall) with ns/op and allocs/op reporting, and the
 # loading-path microbenchmarks: page-table writes at 1k/8k/64k resident pages
-# (ns/op should stay flat across sizes) and MEE line writeback/fetch (0
-# allocs/op).
+# (ns/op should stay flat across sizes), MEE line writeback/fetch (0
+# allocs/op) and a writeback-then-fetch sweep over every line of a 64 MiB
+# PRM (one metadata block allocation per page).
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 	$(GO) test -bench='ECall|OCall|PageWalk' -benchtime=200x -run=^$$ ./internal/bench

@@ -21,6 +21,15 @@
 // as the nonce, and keeps the 16-byte tags and counters in engine-private
 // state (modelling the on-chip tree root plus stolen metadata memory that the
 // physical attacker cannot forge).
+//
+// That state is packed per PRM page: one slot per page, indexed by the
+// page's offset from the PRM base, holds a 64-bit "written" mask and a
+// pointer to a pointer-free block of 64 {version, tag} entries (1,536 B)
+// that is allocated when a line of the page is first written back. A line
+// whose mask bit is clear has no ciphertext to verify and fetches as zeroes.
+// DropLine and DropPage clear mask bits only: the version counters survive,
+// so a recycled EPC page continues its lines' counters and a nonce never
+// repeats under the platform key for the life of the engine.
 package mee
 
 import (
@@ -36,18 +45,33 @@ import (
 	"nestedenclave/internal/trace"
 )
 
+// linesPerPage is the number of cachelines in a page: one "written" mask bit
+// and one metadata entry each.
+const linesPerPage = isa.PageSize / isa.LineSize
+
 type lineMeta struct {
 	version uint64
 	tag     [16]byte
 }
 
+// pageMeta is the integrity metadata of one PRM page. It holds no pointers,
+// so the collector never scans it, and its 1,536 B are an exact size class.
+type pageMeta [linesPerPage]lineMeta
+
+// pageSlot is the engine state of one PRM page.
+type pageSlot struct {
+	meta    *pageMeta // nil until a line of the page is first written back
+	written uint64    // bit i set: line i holds ciphertext sealed under meta[i]
+}
+
 // Engine is the memory encryption engine. It implements cache.Backend.
 // Not safe for concurrent use; the machine serializes memory operations.
 type Engine struct {
-	mem  *phys.Memory
-	rec  *trace.Recorder
-	aead cipher.AEAD
-	meta map[uint64]*lineMeta // line index -> integrity metadata; absent = never written
+	mem   *phys.Memory
+	rec   *trace.Recorder
+	aead  cipher.AEAD
+	prm   isa.PAddr  // PRM base: pages[i] describes the page at prm + i<<PageShift
+	pages []pageSlot // one per PRM page
 
 	// Enabled can be cleared to model a machine without memory encryption
 	// (plaintext PRM), used by tests that contrast physical attacks.
@@ -94,7 +118,13 @@ func New(mem *phys.Memory, rec *trace.Recorder) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mee: gcm: %w", err)
 	}
-	return &Engine{mem: mem, rec: rec, aead: aead, meta: make(map[uint64]*lineMeta), Enabled: true}, nil
+	l := mem.Layout()
+	return &Engine{
+		mem: mem, rec: rec, aead: aead,
+		prm:     l.PRMBase,
+		pages:   make([]pageSlot, l.PRMSize>>isa.PageShift),
+		Enabled: true,
+	}, nil
 }
 
 // MustNew is New panicking on error, for tests and fixed-configuration
@@ -125,6 +155,13 @@ func (e *Engine) nonce(idx, version uint64) []byte {
 	return n
 }
 
+// slot returns the state of the PRM page holding p and p's line number within
+// that page. p must lie in the PRM.
+func (e *Engine) slot(p isa.PAddr) (*pageSlot, uint) {
+	off := uint64(p - e.prm)
+	return &e.pages[off>>isa.PageShift], uint(off>>isa.LineShift) % linesPerPage
+}
+
 // Memory exposes the underlying DRAM (the physical attacker's view).
 func (e *Engine) Memory() *phys.Memory { return e.mem }
 
@@ -141,15 +178,15 @@ func (e *Engine) WriteLine(p isa.PAddr, data []byte) error {
 		e.mem.Write(p, data)
 		return nil
 	}
-	idx := uint64(p) >> isa.LineShift
-	m := e.meta[idx]
-	if m == nil {
-		m = &lineMeta{}
-		e.meta[idx] = m
+	s, i := e.slot(p)
+	if s.meta == nil {
+		s.meta = new(pageMeta)
 	}
+	m := &s.meta[i]
 	m.version++
-	ct := e.aead.Seal(e.wct[:0], e.nonce(idx, m.version), data, nil)
+	ct := e.aead.Seal(e.wct[:0], e.nonce(uint64(p)>>isa.LineShift, m.version), data, nil)
 	copy(m.tag[:], ct[isa.LineSize:])
+	s.written |= 1 << i
 	e.mem.Write(p, ct[:isa.LineSize])
 	e.charge(trace.EvMEEEncrypt, trace.CostMEELine)
 	return nil
@@ -167,14 +204,14 @@ func (e *Engine) ReadLine(p isa.PAddr) ([]byte, error) {
 		e.mem.ReadInto(p, raw)
 		return raw, nil
 	}
-	idx := uint64(p) >> isa.LineShift
-	m := e.meta[idx]
-	if m == nil {
-		// Never written through the engine: architecturally the content of a
-		// fresh EPC page is undefined; the simulator returns zeroes (EPC
-		// pages are zeroed by EADD/EAUG before use anyway).
+	s, i := e.slot(p)
+	if s.written&(1<<i) == 0 {
+		// Never written through the engine, or dropped since: architecturally
+		// the content of a fresh EPC page is undefined; the simulator returns
+		// zeroes (EPC pages are zeroed by EADD/EAUG before use anyway).
 		return zeroLine[:], nil
 	}
+	m := &s.meta[i]
 	e.mem.ReadInto(p, raw)
 	ct := e.rct[:]
 	copy(ct[isa.LineSize:], m.tag[:])
@@ -186,7 +223,7 @@ func (e *Engine) ReadLine(p isa.PAddr) ([]byte, error) {
 		bit := e.Chaos.Rand(uint64(isa.LineSize * 8))
 		ct[bit/8] ^= 1 << (bit % 8)
 	}
-	pt, err := e.aead.Open(e.rpt[:0], e.nonce(idx, m.version), ct, nil)
+	pt, err := e.aead.Open(e.rpt[:0], e.nonce(uint64(p)>>isa.LineShift, m.version), ct, nil)
 	if err != nil {
 		e.charge(trace.EvFaultMC, 0)
 		if e.Poison != nil {
@@ -198,17 +235,24 @@ func (e *Engine) ReadLine(p isa.PAddr) ([]byte, error) {
 	return pt, nil
 }
 
-// DropLine forgets the integrity metadata of the line containing p. Used when
-// an EPC page is returned to the free pool so stale metadata does not abort
-// reads of a recycled page.
+// DropLine forgets the ciphertext of the line containing p: until it is
+// written back again it fetches as zeroes. Used when an EPC page is returned
+// to the free pool so stale metadata does not abort reads of a recycled page.
+// The line's version counter is kept, so its next writeback uses a fresh
+// nonce. Non-PRM addresses are ignored.
 func (e *Engine) DropLine(p isa.PAddr) {
-	delete(e.meta, uint64(p)>>isa.LineShift)
+	if !e.mem.InPRM(p) {
+		return
+	}
+	s, i := e.slot(p)
+	s.written &^= 1 << i
 }
 
-// DropPage forgets integrity metadata for every line of the page at p.
+// DropPage is DropLine for every line of the page at p.
 func (e *Engine) DropPage(p isa.PAddr) {
-	base := p.PageBase()
-	for off := isa.PAddr(0); off < isa.PageSize; off += isa.LineSize {
-		e.DropLine(base + off)
+	if !e.mem.PageInPRM(p) {
+		return
 	}
+	s, _ := e.slot(p)
+	s.written = 0
 }

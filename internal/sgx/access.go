@@ -54,7 +54,7 @@ func (c *Core) maybeChaos() error {
 // translateLocked resolves v for the given access kind. It returns either a
 // physical address, abort=true (abort-page semantics), or a fault.
 // Caller holds at least the read side of m.mu: the whole miss-handling
-// sequence only reads machine-global structures (COW page table, EPCM, SECS
+// sequence only reads machine-global structures (radix page table, EPCM, SECS
 // association lists) and touches per-core state (TLB) owned by the calling
 // goroutine, so concurrent translations on different cores proceed in
 // parallel while mutating instructions hold the write lock.

@@ -90,7 +90,7 @@ type Machine struct {
 	// mu guards the shared memory system and machine-global state. The hot
 	// data-access path (translate + validate on TLB miss) only *reads*
 	// machine-global structures — the EPCM, SECS association lists, and the
-	// COW page tables — so it runs under the read lock and cores proceed in
+	// radix page tables — so it runs under the read lock and cores proceed in
 	// parallel; every instruction that mutates machine state (lifecycle,
 	// transitions, paging, NASSO) takes the write lock and so still excludes
 	// all accesses, exactly like the old exclusive lock did. Per-core state
