@@ -7,8 +7,9 @@
 # model-checking pass: 5000 randomized schedules against the reference
 # oracle, the full depth-8 exhaustive enumeration (`make modelcheck`), a
 # short native-fuzz smoke over the op encoding, access validator, report
-# codec, page table, and MEE line operations, plus a chaos-soak smoke (fault
-# injection + self-healing supervision, see `make chaos`). See TESTING.md.
+# codec, page table, MEE line operations, SQL lexer and trusted heap, plus a
+# chaos-soak smoke (fault injection + self-healing supervision, see
+# `make chaos`). See TESTING.md.
 
 GO ?= go
 SIMTEST_SCHEDULES ?= 5000
@@ -99,6 +100,8 @@ modelcheck-smoke:
 fuzz-smoke:
 	$(GO) test ./internal/pt -run '^$$' -fuzz '^FuzzTableOps$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mee -run '^$$' -fuzz '^FuzzEngineOps$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sqldb -run '^$$' -fuzz '^FuzzLex$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/talloc -run '^$$' -fuzz '^FuzzHeapOps$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/simtest -run '^$$' -fuzz '^FuzzScheduleOps$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sgx -run '^$$' -fuzz '^FuzzAccessValidate$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sgx -run '^$$' -fuzz '^FuzzReportParse$$' -fuzztime $(FUZZTIME)
@@ -142,11 +145,15 @@ adversary-smoke:
 # loading-path microbenchmarks: page-table writes at 1k/8k/64k resident pages
 # (ns/op should stay flat across sizes), MEE line writeback/fetch (0
 # allocs/op) and a writeback-then-fetch sweep over every line of a 64 MiB
-# PRM (one metadata block allocation per page).
+# PRM (one metadata block allocation per page), and the nested SQL path's
+# host-side pieces: SQL parse and format of the service's three statement
+# shapes (AST nodes only; one allocation per format) and a trusted-heap
+# free+malloc cycle on a fragmented free list (0 allocs/op).
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 	$(GO) test -bench='ECall|OCall|PageWalk' -benchtime=200x -run=^$$ ./internal/bench
 	$(GO) test -bench='TableMap|MEE' -benchmem -run=^$$ ./internal/pt ./internal/mee
+	$(GO) test -bench='Parse|FormatStmt|HeapMallocFree' -benchmem -run=^$$ ./internal/sqldb ./internal/talloc
 
 clean:
 	$(GO) clean ./...

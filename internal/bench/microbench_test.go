@@ -19,7 +19,7 @@ type microRig struct {
 	loops        int // read by the loop ecalls
 }
 
-func newMicroRig(b *testing.B) *microRig {
+func newMicroRig(b testing.TB) *microRig {
 	b.Helper()
 	mr := &microRig{}
 	r, err := NewRig(SmallMachine())
@@ -100,6 +100,26 @@ func BenchmarkOCall(b *testing.B) {
 
 func BenchmarkNECall(b *testing.B) {
 	newMicroRig(b).runLoop(b, "necall_loop")
+}
+
+// TestNECallAllocs pins the host allocations of one NECall at four, all in
+// package sdk: the "n_ecall:"+name span name, the marshalled argument copy,
+// the inner Env, and IsCrash's errors.As target. NEENTER keeps the outer
+// frame in the inner TCS, so the transition itself allocates nothing.
+func TestNECallAllocs(t *testing.T) {
+	mr := newMicroRig(t)
+	run := func(calls int) float64 {
+		mr.loops = calls
+		return testing.AllocsPerRun(20, func() {
+			if _, err := mr.outer.ECall("necall_loop", nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const calls = 1000
+	if per := (run(calls) - run(0)) / calls; per != 4 {
+		t.Fatalf("NECall allocates %v/op, want 4", per)
+	}
 }
 
 func BenchmarkSwitchlessOCall(b *testing.B) {

@@ -207,30 +207,22 @@ func TableVI(cfg ycsb.Config, seed int64) ([]TableVIRow, error) {
 		w := ycsb.Generate(mix, cfg, rand.New(rand.NewSource(seed)))
 		row := TableVIRow{Workload: mix.Name}
 		for _, nested := range []bool{false, true} {
-			r, err := NewRig(SmallMachine())
-			if err != nil {
-				return nil, err
-			}
-			s, err := BuildSQLService(r, nested)
-			if err != nil {
-				return nil, err
-			}
-			for _, q := range w.Setup {
-				if _, err := s.Query(q); err != nil {
-					return nil, fmt.Errorf("%s setup (%s): %w", mix.Name, variantName(nested), err)
+			// Best-of-3 passes, each on a freshly seeded service (the
+			// queries write): a default-scale pass lasts tens of
+			// milliseconds of wall clock, and the fastest pass is the least
+			// disturbed estimate.
+			best := 0.0
+			for pass := 0; pass < 3; pass++ {
+				qps, err := timeSQLPass(w, nested)
+				if err != nil {
+					return nil, fmt.Errorf("%s: %w", mix.Name, err)
 				}
+				best = max(best, qps)
 			}
-			start := time.Now()
-			for _, q := range w.Queries {
-				if _, err := s.Query(q); err != nil {
-					return nil, fmt.Errorf("%s (%s): %w", mix.Name, variantName(nested), err)
-				}
-			}
-			qps := float64(len(w.Queries)) / time.Since(start).Seconds()
 			if nested {
-				row.NestQPS = qps
+				row.NestQPS = best
 			} else {
-				row.MonoQPS = qps
+				row.MonoQPS = best
 			}
 		}
 		row.Normalized = row.NestQPS / row.MonoQPS
@@ -239,6 +231,31 @@ func TableVI(cfg ycsb.Config, seed int64) ([]TableVIRow, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// timeSQLPass builds one SQL service, loads w's setup, and returns the
+// queries per second of w's query stream.
+func timeSQLPass(w *ycsb.Workload, nested bool) (float64, error) {
+	r, err := NewRig(SmallMachine())
+	if err != nil {
+		return 0, err
+	}
+	s, err := BuildSQLService(r, nested)
+	if err != nil {
+		return 0, err
+	}
+	for _, q := range w.Setup {
+		if _, err := s.Query(q); err != nil {
+			return 0, fmt.Errorf("setup (%s): %w", variantName(nested), err)
+		}
+	}
+	start := time.Now()
+	for _, q := range w.Queries {
+		if _, err := s.Query(q); err != nil {
+			return 0, fmt.Errorf("%s: %w", variantName(nested), err)
+		}
+	}
+	return float64(len(w.Queries)) / time.Since(start).Seconds(), nil
 }
 
 // RenderTableVI formats the rows.

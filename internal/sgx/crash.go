@@ -93,7 +93,7 @@ func (m *Machine) EmergencyExit(c *Core) []isa.EID {
 		if t.ret != nil {
 			next = t.ret.tcs
 		}
-		t.ret = nil
+		t.dropFrame()
 		t.ssa = nil
 		t.Busy = false
 		t = next
@@ -116,6 +116,6 @@ func (m *Machine) ScrubTCS(t *TCS) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	t.ssa = nil
-	t.ret = nil
+	t.dropFrame()
 	t.Busy = false
 }

@@ -77,7 +77,40 @@ func TestSwitchToFromNestedLocked(t *testing.T) {
 	if r.c.Regs.GPR[0] != 111 {
 		t.Fatalf("outer registers not restored: %d", r.c.Regs.GPR[0])
 	}
+	if !sgx.FrameIsZero(innerTCS) {
+		t.Fatal("outer context left in the inner TCS's frame after NEEXIT")
+	}
 	r.exit(t)
+}
+
+// TestEmergencyExitZeroesFrames: the crash unwind drops every suspended
+// frame in the chain, and leaves none of the outer context behind in them.
+func TestEmergencyExitZeroesFrames(t *testing.T) {
+	r := newRig(t)
+	outer, outerTCSV := buildEnclave(t, r.k, r.p, 0x100000, 1)
+	inner, innerTCSV := buildEnclave(t, r.k, r.p, 0x200000, 1)
+	innerTCS, err := inner.FindTCS(innerTCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.enter(t, outer, outerTCSV)
+	r.c.Regs.GPR[0] = 111
+	if err := r.m.Atomically(func() error {
+		r.c.SwitchToNestedLocked(inner, innerTCS)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if sgx.FrameIsZero(innerTCS) {
+		t.Fatal("NEENTER saved no frame")
+	}
+	torn := r.m.EmergencyExit(r.c)
+	if len(torn) != 2 || torn[0] != inner.EID || torn[1] != outer.EID {
+		t.Fatalf("torn %v", torn)
+	}
+	if innerTCS.Ret() || innerTCS.Busy || !sgx.FrameIsZero(innerTCS) {
+		t.Fatal("emergency exit left the inner TCS's frame behind")
+	}
 }
 
 func TestEPCFootprintAndEnclaves(t *testing.T) {

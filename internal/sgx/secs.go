@@ -165,8 +165,10 @@ type TCS struct {
 	// ret is the reserved stack frame holding the suspended outer-enclave
 	// context while this TCS's enclave runs as a nested inner (the paper:
 	// NEENTER "saves the current context ... to a reserved stack frame of
-	// the entering inner enclave"). nil for top-level entries.
-	ret *enclaveFrame
+	// the entering inner enclave"). nil for top-level entries; otherwise it
+	// points at frame, the TCS's own storage for that one frame.
+	ret   *enclaveFrame
+	frame enclaveFrame
 	// ssa holds the state saved by an asynchronous enclave exit.
 	ssa *savedFrame
 

@@ -177,7 +177,8 @@ func (m *Machine) Atomically(f func() error) error {
 // the inner enclave. Caller holds the machine lock (via Atomically) and has
 // validated the transition.
 func (c *Core) SwitchToNestedLocked(inner *SECS, t *TCS) {
-	t.ret = &enclaveFrame{secs: c.cur, tcs: c.curTCS, regs: c.Regs}
+	t.frame = enclaveFrame{secs: c.cur, tcs: c.curTCS, regs: c.Regs}
+	t.ret = &t.frame
 	t.Busy = true
 	c.TLB.FlushAll()
 	delete(c.cur.epochEntries, c.ID)
@@ -191,11 +192,13 @@ func (c *Core) SwitchToNestedLocked(inner *SECS, t *TCS) {
 // SwitchFromNestedLocked performs NEEXIT's context switch: the register file
 // is scrubbed (clearing "all the information of the inner enclave"), the TLB
 // flushed, the inner TCS released, and the suspended outer context restored.
-// Caller holds the machine lock and has validated the transition.
+// The frame is zeroed in the inner TCS, so the outer enclave's registers do
+// not outlive the nested call there. Caller holds the machine lock and has
+// validated the transition.
 func (c *Core) SwitchFromNestedLocked() {
 	t := c.curTCS
-	f := t.ret
-	t.ret = nil
+	f := t.frame
+	t.dropFrame()
 	t.Busy = false
 	c.Regs.Scrub()
 	c.TLB.FlushAll()
@@ -205,6 +208,12 @@ func (c *Core) SwitchFromNestedLocked() {
 	c.Regs = f.regs
 	c.TLB.BillEID = uint64(f.secs.EID)
 	f.secs.epochEntries[c.ID] = f.secs.trackEpoch
+}
+
+// dropFrame clears the TCS's suspended outer frame.
+func (t *TCS) dropFrame() {
+	t.ret = nil
+	t.frame = enclaveFrame{}
 }
 
 // RetFrameEID returns the EID of the suspended outer enclave saved in the

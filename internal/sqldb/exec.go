@@ -3,6 +3,7 @@ package sqldb
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // DB is an in-memory database.
@@ -115,7 +116,7 @@ func (db *DB) execInsert(s *InsertStmt) (*Result, error) {
 			return nil, fmt.Errorf("sqldb: %d values for %d columns", len(s.Vals), len(t.cols))
 		}
 		for i, v := range s.Vals {
-			if row[i], err = coerce(v, t.cols[i].Kind); err != nil {
+			if row[i], err = storable(v, t.cols[i].Kind); err != nil {
 				return nil, err
 			}
 		}
@@ -128,7 +129,7 @@ func (db *DB) execInsert(s *InsertStmt) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			if row[ci], err = coerce(s.Vals[i], t.cols[ci].Kind); err != nil {
+			if row[ci], err = storable(s.Vals[i], t.cols[ci].Kind); err != nil {
 				return nil, err
 			}
 		}
@@ -144,6 +145,16 @@ func (db *DB) execInsert(s *InsertStmt) (*Result, error) {
 	t.index.Set(key, len(t.rows)-1)
 	t.live++
 	return &Result{Affected: 1}, nil
+}
+
+// storable coerces v for a column of kind want and gives text its own copy:
+// parsed literals alias the statement, which a stored row must not pin.
+func storable(v Value, want Kind) (Value, error) {
+	v, err := coerce(v, want)
+	if v.Kind == KText {
+		v.S = strings.Clone(v.S)
+	}
+	return v, err
 }
 
 // matchRows returns the row ids satisfying the conjunctive conditions,
@@ -318,7 +329,7 @@ func (db *DB) execUpdate(s *UpdateStmt) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		v, err := coerce(st.Val, t.cols[ci].Kind)
+		v, err := storable(st.Val, t.cols[ci].Kind)
 		if err != nil {
 			return nil, err
 		}

@@ -1,7 +1,9 @@
 package sqldb
 
 import (
+	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -10,6 +12,7 @@ import (
 // values, and forwards the rewritten text to the shared database service).
 func FormatStmt(st Stmt) (string, error) {
 	var b strings.Builder
+	b.Grow(formatSize(st))
 	switch s := st.(type) {
 	case *CreateStmt:
 		b.WriteString("CREATE TABLE ")
@@ -19,7 +22,9 @@ func FormatStmt(st Stmt) (string, error) {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			fmt.Fprintf(&b, "%s %s", c.Name, c.Kind)
+			b.WriteString(c.Name)
+			b.WriteByte(' ')
+			b.WriteString(c.Kind.String())
 			if i == s.PK {
 				b.WriteString(" PRIMARY KEY")
 			}
@@ -30,7 +35,7 @@ func FormatStmt(st Stmt) (string, error) {
 		b.WriteString(s.Table)
 		if len(s.Cols) > 0 {
 			b.WriteString(" (")
-			b.WriteString(strings.Join(s.Cols, ", "))
+			formatList(&b, s.Cols)
 			b.WriteString(")")
 		}
 		b.WriteString(" VALUES (")
@@ -38,7 +43,7 @@ func FormatStmt(st Stmt) (string, error) {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			b.WriteString(formatLiteral(v))
+			formatLiteral(&b, v)
 		}
 		b.WriteString(")")
 	case *SelectStmt:
@@ -49,19 +54,21 @@ func FormatStmt(st Stmt) (string, error) {
 		case s.Cols == nil:
 			b.WriteString("*")
 		default:
-			b.WriteString(strings.Join(s.Cols, ", "))
+			formatList(&b, s.Cols)
 		}
 		b.WriteString(" FROM ")
 		b.WriteString(s.Table)
 		formatWhere(&b, s.Where)
 		if s.OrderBy != "" {
-			fmt.Fprintf(&b, " ORDER BY %s", s.OrderBy)
+			b.WriteString(" ORDER BY ")
+			b.WriteString(s.OrderBy)
 			if s.Desc {
 				b.WriteString(" DESC")
 			}
 		}
 		if s.Limit >= 0 {
-			fmt.Fprintf(&b, " LIMIT %d", s.Limit)
+			b.WriteString(" LIMIT ")
+			formatLiteral(&b, Int(int64(s.Limit)))
 		}
 	case *UpdateStmt:
 		b.WriteString("UPDATE ")
@@ -71,7 +78,9 @@ func FormatStmt(st Stmt) (string, error) {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			fmt.Fprintf(&b, "%s = %s", set.Col, formatLiteral(set.Val))
+			b.WriteString(set.Col)
+			b.WriteString(" = ")
+			formatLiteral(&b, set.Val)
 		}
 		formatWhere(&b, s.Where)
 	case *DeleteStmt:
@@ -84,6 +93,61 @@ func FormatStmt(st Stmt) (string, error) {
 	return b.String(), nil
 }
 
+// formatSize bounds FormatStmt's output from above when no text literal
+// contains a quote, so the builder allocates once.
+func formatSize(st Stmt) int {
+	const (
+		fixed   = 48 // keywords and punctuation
+		perItem = 32 // separators, operator, quotes and a number's digits
+	)
+	n := fixed
+	where := func(w []Cond) {
+		for _, c := range w {
+			n += len(c.Col) + len(c.Val.S) + perItem
+		}
+	}
+	switch s := st.(type) {
+	case *CreateStmt:
+		n += len(s.Table)
+		for _, c := range s.Cols {
+			n += len(c.Name) + perItem
+		}
+	case *InsertStmt:
+		n += len(s.Table)
+		for _, c := range s.Cols {
+			n += len(c) + 2
+		}
+		for _, v := range s.Vals {
+			n += len(v.S) + perItem
+		}
+	case *SelectStmt:
+		n += len(s.Table) + len(s.OrderBy) + perItem
+		for _, c := range s.Cols {
+			n += len(c) + 2
+		}
+		where(s.Where)
+	case *UpdateStmt:
+		n += len(s.Table)
+		for _, set := range s.Sets {
+			n += len(set.Col) + len(set.Val.S) + perItem
+		}
+		where(s.Where)
+	case *DeleteStmt:
+		n += len(s.Table)
+		where(s.Where)
+	}
+	return n
+}
+
+func formatList(b *strings.Builder, names []string) {
+	for i, name := range names {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(name)
+	}
+}
+
 func formatWhere(b *strings.Builder, where []Cond) {
 	for i, c := range where {
 		if i == 0 {
@@ -91,20 +155,39 @@ func formatWhere(b *strings.Builder, where []Cond) {
 		} else {
 			b.WriteString(" AND ")
 		}
-		fmt.Fprintf(b, "%s %s %s", c.Col, c.Op, formatLiteral(c.Val))
+		b.WriteString(c.Col)
+		b.WriteByte(' ')
+		b.WriteString(c.Op)
+		b.WriteByte(' ')
+		formatLiteral(b, c.Val)
 	}
 }
 
-func formatLiteral(v Value) string {
-	if v.Kind == KText {
-		return "'" + strings.ReplaceAll(v.S, "'", "''") + "'"
-	}
-	if v.Kind == KFloat {
-		s := v.String()
-		if !strings.ContainsAny(s, ".eE") {
-			s += ".0"
+// formatLiteral writes v as a SQL literal: text quoted with embedded quotes
+// doubled, and a float always carrying a '.', 'e' or 'E' so it lexes back as
+// a float.
+func formatLiteral(b *strings.Builder, v Value) {
+	var num [32]byte
+	switch v.Kind {
+	case KText:
+		b.WriteByte('\'')
+		s := v.S
+		for i := strings.IndexByte(s, '\''); i >= 0; i = strings.IndexByte(s, '\'') {
+			b.WriteString(s[:i+1])
+			b.WriteByte('\'')
+			s = s[i+1:]
 		}
-		return s
+		b.WriteString(s)
+		b.WriteByte('\'')
+	case KInt:
+		b.Write(strconv.AppendInt(num[:0], v.I, 10))
+	case KFloat:
+		f := strconv.AppendFloat(num[:0], v.F, 'g', -1, 64)
+		b.Write(f)
+		if bytes.IndexAny(f, ".eE") < 0 {
+			b.WriteString(".0")
+		}
+	default:
+		b.WriteString("NULL")
 	}
-	return v.String()
 }

@@ -76,9 +76,13 @@ type parser struct {
 	pos  int
 }
 
-// Parse compiles one SQL statement.
+// Parse compiles one SQL statement. Identifiers and string literals in the
+// returned AST may alias sql.
 func Parse(sql string) (Stmt, error) {
-	toks, err := lex(sql)
+	// Statements up to 23 tokens lex into this stack buffer; append spills
+	// longer ones to the heap.
+	var buf [24]token
+	toks, err := lex(buf[:0], sql)
 	if err != nil {
 		return nil, err
 	}

@@ -16,8 +16,9 @@
 package talloc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"nestedenclave/internal/isa"
 )
@@ -83,18 +84,7 @@ func (h *Heap) Free(addr isa.VAddr) error {
 		return fmt.Errorf("talloc: free of unallocated address %#x", uint64(addr))
 	}
 	delete(h.live, addr)
-	h.free = append(h.free, extent{addr: addr, len: n})
-	sort.Slice(h.free, func(i, j int) bool { return h.free[i].addr < h.free[j].addr })
-	// Coalesce adjacent extents.
-	out := h.free[:0]
-	for _, e := range h.free {
-		if len(out) > 0 && out[len(out)-1].addr+isa.VAddr(out[len(out)-1].len) == e.addr {
-			out[len(out)-1].len += e.len
-		} else {
-			out = append(out, e)
-		}
-	}
-	h.free = out
+	h.release(addr, n)
 	return nil
 }
 
@@ -120,18 +110,29 @@ func (h *Heap) Extend(addr isa.VAddr, size uint64) error {
 		}
 	}
 	h.size += size
-	h.free = append(h.free, extent{addr: addr, len: size})
-	sort.Slice(h.free, func(i, j int) bool { return h.free[i].addr < h.free[j].addr })
-	out := h.free[:0]
-	for _, e := range h.free {
-		if len(out) > 0 && out[len(out)-1].addr+isa.VAddr(out[len(out)-1].len) == e.addr {
-			out[len(out)-1].len += e.len
-		} else {
-			out = append(out, e)
-		}
-	}
-	h.free = out
+	h.release(addr, size)
 	return nil
+}
+
+// release returns [addr, addr+n), which must overlap no free extent, to the
+// free list: a binary search finds its slot and it merges with whichever of
+// its two neighbours it touches, so the list stays sorted and coalesced.
+func (h *Heap) release(addr isa.VAddr, n uint64) {
+	i, _ := slices.BinarySearchFunc(h.free, addr, func(e extent, a isa.VAddr) int { return cmp.Compare(e.addr, a) })
+	joinPrev := i > 0 && h.free[i-1].addr+isa.VAddr(h.free[i-1].len) == addr
+	joinNext := i < len(h.free) && addr+isa.VAddr(n) == h.free[i].addr
+	switch {
+	case joinPrev && joinNext:
+		h.free[i-1].len += n + h.free[i].len
+		h.free = slices.Delete(h.free, i, i+1)
+	case joinPrev:
+		h.free[i-1].len += n
+	case joinNext:
+		h.free[i].addr = addr
+		h.free[i].len += n
+	default:
+		h.free = slices.Insert(h.free, i, extent{addr: addr, len: n})
+	}
 }
 
 // SizeOf returns the size of a live allocation.
