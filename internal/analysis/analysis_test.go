@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"go/types"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -84,20 +86,7 @@ func TestAllCatalogIsWellFormed(t *testing.T) {
 // the real tree, so a PR that introduces a violation (or reverts one of this
 // PR's fixes) fails tier1, not just the lint target.
 func TestModuleIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-module typecheck is slow; run without -short")
-	}
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := LoadModule(root)
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
-	if len(pkgs) < 20 {
-		t.Fatalf("loaded only %d packages; the loader is missing most of the tree", len(pkgs))
-	}
+	pkgs := realModule(t)
 	res := Analyze(pkgs, All(), Options{ReportStale: true})
 	findings := append(res.Findings, res.Stale...)
 	for _, f := range findings {
@@ -106,6 +95,107 @@ func TestModuleIsClean(t *testing.T) {
 	if len(findings) > 0 {
 		t.Log("fix the findings, annotate with //nescheck:allow <rule> <reason>, or delete the stale allow")
 	}
+}
+
+// loadRealModule typechecks the real tree once per test binary; every test
+// that needs it shares the load.
+var loadRealModule = sync.OnceValues(func() ([]*Package, error) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		return nil, err
+	}
+	return LoadModule(root)
+})
+
+func realModule(t *testing.T) []*Package {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("whole-module typecheck is slow; run without -short")
+	}
+	pkgs, err := loadRealModule()
+	if err != nil {
+		t.Fatalf("loading module: %v", err)
+	}
+	if len(pkgs) < 20 {
+		t.Fatalf("loaded only %d packages; the loader is missing most of the tree", len(pkgs))
+	}
+	return pkgs
+}
+
+// catalogRow is one entry of a nescheck catalog table, reduced to what it
+// names: a package-level function (typeName ""), a method or a field of
+// typeName, or the type itself (name "*").
+type catalogRow struct {
+	table     string
+	pkgSuffix string
+	typeName  string
+	name      string
+	field     bool
+}
+
+// TestCatalogEntriesResolve: the analyzers match catalog rows by name and
+// skip a row that matches nothing, so a row left behind by a rename or a
+// deletion silently stops checking anything. Every row must name something
+// the real module declares.
+func TestCatalogEntriesResolve(t *testing.T) {
+	pkgs := realModule(t)
+	var rows []catalogRow
+	for _, r := range transitionOps {
+		rows = append(rows, catalogRow{"transitionOps", r.pkgSuffix, r.typeName, r.funcName, false})
+	}
+	for _, r := range secretSources {
+		rows = append(rows, catalogRow{"secretSources", r.pkgSuffix, r.typeName, r.name, r.field})
+	}
+	for _, r := range secretSinks {
+		rows = append(rows, catalogRow{"secretSinks", r.pkgSuffix, r.typeName, r.name, false})
+	}
+	for _, r := range billableMethods {
+		for m := range r.methods {
+			rows = append(rows, catalogRow{"billableMethods", r.pkgSuffix, r.typeName, m, false})
+		}
+	}
+	for _, r := range lockOwners {
+		rows = append(rows, catalogRow{"lockOwners", r.pkgSuffix, r.typeName, "*", false})
+	}
+	for _, r := range rows {
+		if !catalogRowResolves(pkgs, r) {
+			t.Errorf("%s row {%s %s %s} names nothing the module declares", r.table, r.pkgSuffix, r.typeName, r.name)
+		}
+	}
+}
+
+func catalogRowResolves(pkgs []*Package, r catalogRow) bool {
+	for _, pkg := range pkgs {
+		if !pathMatches(pkg.Path, r.pkgSuffix) {
+			continue
+		}
+		scope := pkg.Types.Scope()
+		if r.typeName == "" {
+			if _, ok := scope.Lookup(r.name).(*types.Func); ok {
+				return true
+			}
+			continue
+		}
+		tn, ok := scope.Lookup(r.typeName).(*types.TypeName)
+		if !ok {
+			continue
+		}
+		if r.name == "*" {
+			return true
+		}
+		obj, _, _ := types.LookupFieldOrMethod(tn.Type(), true, pkg.Types, r.name)
+		switch obj := obj.(type) {
+		case *types.Var:
+			if r.field && fieldOwner(obj) == r.typeName {
+				return true
+			}
+		case *types.Func:
+			if recv := methodRecvNamed(obj); !r.field && recv != nil && recv.Obj() == tn {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func TestFindingString(t *testing.T) {

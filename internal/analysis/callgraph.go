@@ -185,11 +185,9 @@ var transitionOps = []struct {
 }{
 	{"internal/sdk", "Enclave", "ECall"},
 	{"internal/sdk", "Enclave", "ECallWithin"},
-	{"internal/sdk", "Enclave", "ECallBatch"},
 	{"internal/sdk", "Env", "OCall"},
 	{"internal/sdk", "Env", "OCallAsync"},
 	{"internal/sdk", "Env", "NECall"},
-	{"internal/sdk", "Env", "NECallBatch"},
 	{"internal/sdk", "Env", "NOCall"},
 	{"internal/switchless", "Engine", "Submit"},
 	{"internal/sgx", "Machine", "EEnter"},

@@ -140,8 +140,7 @@ func (e *ReplayError) Is(target error) bool { return target == ErrReplayDetected
 
 // frame is [8-byte LE seq || AES-GCM(payload, nonce=seq, AAD=name)].
 // When tracing is on, the software-crypto cost model charges one GCM seal
-// over the payload — the fixed per-call cost dominates small messages, which
-// is what SendBatch amortizes.
+// over the payload.
 func (ch *ReliableChannel) seal(seq uint64, payload []byte) []byte {
 	out := make([]byte, 8, 8+len(payload)+16)
 	binary.LittleEndian.PutUint64(out, seq)
@@ -156,76 +155,11 @@ func (ch *ReliableChannel) seal(seq uint64, payload []byte) []byte {
 func (ch *ReliableChannel) Send(payload []byte) {
 	sp := ch.beginSpan("chan_send")
 	defer sp.End()
-	ch.sendFrame(payload)
-}
-
-func (ch *ReliableChannel) sendFrame(payload []byte) {
 	frame := ch.seal(ch.sendSeq, payload)
 	ch.window[ch.sendSeq] = frame
 	delete(ch.window, ch.sendSeq-uint64(ch.winSize))
 	ch.sendSeq++
 	ch.ipc.Send(ch.name, frame)
-}
-
-// SendBatch packs the payloads length-prefixed into ONE sealed frame under
-// ONE sequence number: one AES-GCM seal (one CostGCMFixed instead of N) and
-// one kernel crossing carry the whole batch. Loss, duplication and
-// retransmission operate on the batch as a unit — a repaired gap redelivers
-// every payload in it. An empty batch sends nothing.
-func (ch *ReliableChannel) SendBatch(payloads [][]byte) {
-	if len(payloads) == 0 {
-		return
-	}
-	sp := ch.beginSpan("chan_send_batch")
-	defer sp.End()
-	ch.sendFrame(packBatch(payloads))
-}
-
-// packBatch is [u32 count || (u32 len || bytes)*].
-func packBatch(payloads [][]byte) []byte {
-	n := 4
-	for _, p := range payloads {
-		n += 4 + len(p)
-	}
-	out := make([]byte, 4, n)
-	binary.LittleEndian.PutUint32(out, uint32(len(payloads)))
-	for _, p := range payloads {
-		var l [4]byte
-		binary.LittleEndian.PutUint32(l[:], uint32(len(p)))
-		out = append(out, l[:]...)
-		out = append(out, p...)
-	}
-	return out
-}
-
-func unpackBatch(channel string, b []byte) ([][]byte, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("channel %s: batch frame truncated", channel)
-	}
-	count := binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	// Each payload needs at least its 4-byte length prefix, which bounds any
-	// honest count; a garbage frame must not size an allocation.
-	if uint64(count)*4 > uint64(len(b)) {
-		return nil, fmt.Errorf("channel %s: batch count %d exceeds frame", channel, count)
-	}
-	out := make([][]byte, 0, count)
-	for i := uint32(0); i < count; i++ {
-		if len(b) < 4 {
-			return nil, fmt.Errorf("channel %s: batch frame truncated at payload %d", channel, i)
-		}
-		l := binary.LittleEndian.Uint32(b)
-		b = b[4:]
-		if uint32(len(b)) < l {
-			return nil, fmt.Errorf("channel %s: batch frame truncated at payload %d", channel, i)
-		}
-		out = append(out, b[:l:l])
-		b = b[l:]
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("channel %s: %d trailing bytes after batch", channel, len(b))
-	}
-	return out, nil
 }
 
 // Retransmit resends the frame with the given sequence number from the
@@ -293,29 +227,6 @@ func (ch *ReliableChannel) Recv() (payload []byte, ok bool, err error) {
 			return pt, true, nil
 		}
 	}
-}
-
-// RecvBatch dequeues one batch frame sent by SendBatch and unpacks it. ok is
-// false when no frame is pending; a gap or corruption surfaces exactly as in
-// Recv so the usual repair loop applies.
-func (ch *ReliableChannel) RecvBatch() (payloads [][]byte, ok bool, err error) {
-	pt, ok, err := ch.Recv()
-	if !ok || err != nil {
-		return nil, ok, err
-	}
-	payloads, err = unpackBatch(ch.name, pt)
-	return payloads, true, err
-}
-
-// RecvBatchRepaired is RecvBatch driving the retransmit repair loop (see
-// RecvRepaired). A repaired gap redelivers the whole batch.
-func (ch *ReliableChannel) RecvBatchRepaired(sender *ReliableChannel, maxRepairs int) (payloads [][]byte, ok bool, err error) {
-	pt, ok, err := ch.RecvRepaired(sender, maxRepairs)
-	if !ok || err != nil {
-		return nil, ok, err
-	}
-	payloads, err = unpackBatch(ch.name, pt)
-	return payloads, true, err
 }
 
 // RecvRepaired is Recv driving the repair loop against the sending endpoint:

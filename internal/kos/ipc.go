@@ -23,11 +23,6 @@ type IPCService struct {
 	queues map[string][]Message
 	seen   map[string][]Message // everything ever sent: the kernel's log
 
-	// sends counts datagrams entering each channel — the number of kernel
-	// crossings. Batched channel frames (channel.SendBatch) show up here as
-	// one send per batch, which is the point of batching.
-	sends map[string]int
-
 	adversary map[string]*IPCAdversary
 }
 
@@ -65,7 +60,6 @@ func NewIPCService(k *Kernel) *IPCService {
 		k:         k,
 		queues:    make(map[string][]Message),
 		seen:      make(map[string][]Message),
-		sends:     make(map[string]int),
 		adversary: make(map[string]*IPCAdversary),
 	}
 }
@@ -82,7 +76,6 @@ func (s *IPCService) Send(channel string, payload []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cp := append([]byte(nil), payload...)
-	s.sends[channel]++
 	s.seen[channel] = append(s.seen[channel], Message{Payload: cp})
 	if a := s.adversary[channel]; a != nil {
 		if a.DropNext > 0 {
@@ -160,14 +153,6 @@ func (s *IPCService) Eavesdrop(channel string) [][]byte {
 		out = append(out, append([]byte(nil), m.Payload...))
 	}
 	return out
-}
-
-// Sends reports how many datagrams have entered the channel — the kernel
-// crossings a sender has paid for, including dropped or scrambled ones.
-func (s *IPCService) Sends(channel string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sends[channel]
 }
 
 // Pending reports the queue depth (tests).

@@ -117,56 +117,9 @@ func (e *Enclave) eCall(name string, args []byte, budget int64) ([]byte, error) 
 	// The output is not re-copied: ownership of a trusted function's return
 	// buffer transfers to the caller (handlers must not retain it).
 	marshalled := append([]byte(nil), args...)
-	var out []byte
-	err := e.enterRun(name, budget, func(env *Env) error {
-		var ferr error
-		out, ferr = runTrusted(env, name, fn, marshalled)
-		return ferr
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ECallBatch invokes a trusted entry point once per argument set over a
-// single EENTER/EEXIT round trip, amortizing the transition cost across the
-// batch (the switchless companion for the host→enclave direction). The
-// whole batch runs on one core and one TCS; the first failing item aborts
-// the remainder and surfaces its error annotated with the item index.
-func (e *Enclave) ECallBatch(name string, batch [][]byte) ([][]byte, error) {
-	fn, ok := e.img.ECalls[name]
-	if !ok {
-		return nil, fmt.Errorf("sdk: enclave %s has no ecall %q", e.img.Name, name)
-	}
-	if len(batch) == 0 {
-		return nil, nil
-	}
-	outs := make([][]byte, 0, len(batch))
-	err := e.enterRun(name, 0, func(env *Env) error {
-		for i, args := range batch {
-			marshalled := append([]byte(nil), args...)
-			out, ferr := runTrusted(env, name, fn, marshalled)
-			if ferr != nil {
-				return fmt.Errorf("batch item %d: %w", i, ferr)
-			}
-			outs = append(outs, out)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return outs, nil
-}
-
-// enterRun owns the shared ecall machinery — core and TCS acquisition, span
-// and transition accounting, EENTER/EEXIT, evacuation recovery, and error
-// wrapping — around a body that runs inside the enclave.
-func (e *Enclave) enterRun(name string, budget int64, body func(env *Env) error) error {
 	c, err := e.host.acquireCore()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer e.host.releaseCore(c)
 	tcsV := e.claimTCS()
@@ -178,14 +131,14 @@ func (e *Enclave) enterRun(name string, budget int64, body func(env *Env) error)
 	m.Rec.ChargeTo(uint64(e.secs.EID), c.ID, trace.EvECall, 0)
 	callStart := m.Rec.Cycles()
 	if err := m.EEnter(c, e.secs, tcsV, false); err != nil {
-		return err
+		return nil, err
 	}
 	env := &Env{E: e, C: c, tcsV: tcsV}
 	if budget > 0 {
 		env.deadline = callStart + budget
 		env.budget = budget
 	}
-	ferr := body(env)
+	out, ferr := runTrusted(env, name, fn, marshalled)
 	// The tRTS scrubs the register file before leaving the enclave.
 	c.Regs.Scrub()
 	if !c.InEnclave() {
@@ -201,21 +154,21 @@ func (e *Enclave) enterRun(name string, budget int64, body func(env *Env) error)
 			ferr = fmt.Errorf("sdk: enclave evacuated mid-call")
 		}
 		if _, isCrash := IsCrash(ferr); isCrash {
-			return ferr
+			return nil, ferr
 		}
-		return &EnclaveError{Enclave: e.img.Name, Call: name, Err: ferr}
+		return nil, &EnclaveError{Enclave: e.img.Name, Call: name, Err: ferr}
 	}
 	if err := m.EExit(c, true); err != nil {
-		return err
+		return nil, err
 	}
 	m.Rec.Observe(trace.OpECall, m.Rec.Cycles()-callStart)
 	if ferr != nil {
 		if _, isCrash := IsCrash(ferr); isCrash {
-			return ferr
+			return nil, ferr
 		}
-		return &EnclaveError{Enclave: e.img.Name, Call: name, Err: ferr}
+		return nil, &EnclaveError{Enclave: e.img.Name, Call: name, Err: ferr}
 	}
-	return nil
+	return out, nil
 }
 
 // runTrusted runs a trusted function with panic containment: a panic inside

@@ -274,64 +274,6 @@ func (env *Env) NECall(inner *Enclave, name string, args []byte) ([]byte, error)
 	return out, nil
 }
 
-// NECallBatch invokes an inner entry point once per argument set over a
-// single NEENTER/NEEXIT round trip, amortizing the nested transition across
-// the batch. The first failing item aborts the remainder and surfaces its
-// error annotated with the item index; an inner crash mid-batch behaves
-// exactly as in NECall (the typed error passes through, no NEEXIT is
-// attempted on the evacuated frame).
-func (env *Env) NECallBatch(inner *Enclave, name string, batch [][]byte) ([][]byte, error) {
-	if err := env.preempt(); err != nil {
-		return nil, err
-	}
-	ext := env.E.host.Ext
-	if ext == nil {
-		return nil, fmt.Errorf("sdk: machine has no nested-enclave support")
-	}
-	fn, ok := inner.img.ECalls[name]
-	if !ok {
-		return nil, fmt.Errorf("sdk: inner enclave %s has no entry %q", inner.img.Name, name)
-	}
-	if len(batch) == 0 {
-		return nil, nil
-	}
-	m := env.E.host.K.Machine()
-	sp := m.Rec.BeginSpan(env.C.ID, uint64(inner.secs.EID), "n_ecall_batch:"+name)
-	defer sp.End()
-	m.Rec.ChargeTo(uint64(inner.secs.EID), env.C.ID, trace.EvNECall, 0)
-	callStart := m.Rec.Cycles()
-	tcsV := inner.claimTCS()
-	defer inner.releaseTCS(tcsV)
-	if err := ext.NEENTER(env.C, inner.secs, tcsV); err != nil {
-		return nil, err
-	}
-	innerEnv := &Env{E: inner, C: env.C, tcsV: tcsV, deadline: env.deadline, budget: env.budget, expired: env.expired}
-	outs := make([][]byte, 0, len(batch))
-	var ferr error
-	for i, args := range batch {
-		marshalled := append([]byte(nil), args...)
-		out, ierr := runNested(innerEnv, name, fn, marshalled)
-		if ierr != nil {
-			if _, crashed := IsCrash(ierr); crashed {
-				// The inner crashed; runNested already popped back to this
-				// frame (or evacuated the core). No NEEXIT of our own.
-				return nil, ierr
-			}
-			ferr = fmt.Errorf("batch item %d: %w", i, ierr)
-			break
-		}
-		outs = append(outs, out)
-	}
-	if err := ext.NEEXIT(env.C); err != nil {
-		return nil, err
-	}
-	m.Rec.Observe(trace.OpNECall, m.Rec.Cycles()-callStart)
-	if ferr != nil {
-		return nil, ferr
-	}
-	return outs, nil
-}
-
 // runNested runs a trusted function at a nested-transition boundary with
 // panic containment: a panic poisons the executing (inner or outer) enclave
 // and — when a suspended caller frame exists — NEEXITs back to it, which

@@ -2,8 +2,6 @@ package sdk_test
 
 import (
 	"bytes"
-	"errors"
-	"strings"
 	"testing"
 
 	"nestedenclave/internal/core"
@@ -112,105 +110,6 @@ func TestSwitchlessMarkingIsMeasured(t *testing.T) {
 	b := sdk.NewImage("app", 0x1000_0000, sdk.DefaultLayout()).AllowSwitchless("f")
 	if a.Measure() == b.Measure() {
 		t.Fatal("switchless marking did not change the measurement")
-	}
-}
-
-// TestECallBatchAmortizesTransition: N trusted invocations over one
-// EENTER/EEXIT pair, with item errors annotated by index and crash typing
-// preserved through the wrapping.
-func TestECallBatchAmortizesTransition(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
-	img := sdk.NewImage("app", 0x1000_0000, sdk.DefaultLayout())
-	img.RegisterECall("double", func(env *sdk.Env, args []byte) ([]byte, error) {
-		if len(args) == 1 && args[0] == 0xEE {
-			return nil, errors.New("poison item")
-		}
-		return append(args, args...), nil
-	})
-	e := mustLoad(t, r.host, img.Sign(measure.MustNewAuthor(), nil, nil))
-
-	const n = 16
-	batch := make([][]byte, n)
-	for i := range batch {
-		batch[i] = []byte{byte(i)}
-	}
-	enters := r.m.Rec.Get(trace.EvEENTER)
-	outs, err := e.ECallBatch("double", batch)
-	if err != nil {
-		t.Fatalf("batch: %v", err)
-	}
-	if len(outs) != n {
-		t.Fatalf("batch returned %d results", len(outs))
-	}
-	for i, out := range outs {
-		if !bytes.Equal(out, []byte{byte(i), byte(i)}) {
-			t.Fatalf("item %d: %v", i, out)
-		}
-	}
-	if got := r.m.Rec.Get(trace.EvEENTER) - enters; got != 1 {
-		t.Fatalf("EENTERs for the batch %d, want 1", got)
-	}
-
-	// A failing item reports its index and aborts the remainder.
-	_, err = e.ECallBatch("double", [][]byte{{1}, {0xEE}, {3}})
-	if err == nil || !errors.As(err, new(*sdk.EnclaveError)) {
-		t.Fatalf("batch error not wrapped: %v", err)
-	}
-	if !strings.Contains(err.Error(), "batch item 1") {
-		t.Fatalf("batch error %q does not name the item", err)
-	}
-}
-
-// TestNECallBatchAmortizesNestedTransition: the outer enclave invokes an
-// inner entry N times over a single NEENTER/NEEXIT round trip.
-func TestNECallBatchAmortizesNestedTransition(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
-	inner := sdk.NewImage("inner", 0x2000_0000, sdk.DefaultLayout())
-	inner.RegisterECall("inc", func(env *sdk.Env, args []byte) ([]byte, error) {
-		return []byte{args[0] + 1}, nil
-	})
-	outer := sdk.NewImage("outer", 0x1000_0000, sdk.DefaultLayout())
-	outer.RegisterECall("fanout", func(env *sdk.Env, args []byte) ([]byte, error) {
-		batch := make([][]byte, int(args[0]))
-		for i := range batch {
-			batch[i] = []byte{byte(i)}
-		}
-		in := env.E.Inners()[0]
-		outs, err := env.NECallBatch(in, "inc", batch)
-		if err != nil {
-			return nil, err
-		}
-		sum := byte(0)
-		for _, o := range outs {
-			sum += o[0]
-		}
-		return []byte{sum}, nil
-	})
-	si, so := signPair(t, inner, outer)
-	ie := mustLoad(t, r.host, si)
-	oe := mustLoad(t, r.host, so)
-	if err := r.host.Associate(ie, oe); err != nil {
-		t.Fatalf("associate: %v", err)
-	}
-
-	const n = 10
-	nenters := r.m.Rec.Get(trace.EvNEENTER)
-	out, err := oe.ECall("fanout", []byte{n})
-	if err != nil {
-		t.Fatalf("fanout: %v", err)
-	}
-	want := byte(0)
-	for i := 0; i < n; i++ {
-		want += byte(i) + 1
-	}
-	if out[0] != want {
-		t.Fatalf("sum %d, want %d", out[0], want)
-	}
-	if got := r.m.Rec.Get(trace.EvNEENTER) - nenters; got != 1 {
-		t.Fatalf("NEENTERs for the batch %d, want 1", got)
-	}
-	if got := r.m.Rec.Get(trace.EvNECall); got != 1 {
-		t.Fatalf("n_ecall count %d, want 1 for the whole batch", got)
 	}
 }
 

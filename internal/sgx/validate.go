@@ -119,10 +119,6 @@ func validateEPCM(c *Core, s *SECS, v isa.VAddr, pte pt.PTE, op isa.Access, step
 		FilledInEnclave: true, FilledEID: s.EID}, nil
 }
 
-// ChargeValidateStep charges a single validation step; package core's nested
-// flow uses the batched ChargeValidateSteps instead on its hot path.
-func ChargeValidateStep(c *Core) { ChargeValidateSteps(c, 1) }
-
 // BaselineTracker implements SGX's ETRACK thread tracking: the cores that
 // may hold stale translations for enclave eid are those with live execution
 // context (current or suspended) in that enclave.
