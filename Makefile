@@ -33,8 +33,8 @@ tier1:
 vet:
 	$(GO) vet ./...
 
-# lint runs nescheck, the house static-analysis suite: nine analyzers
-# (determinism, boundary, lockorder, attribution, errcheck, spanpair, plus
+# lint runs nescheck, the house static-analysis suite: eight analyzers
+# (determinism, boundary, attribution, errcheck, spanpair, plus
 # the interprocedural secretflow, atomicsafety, and lockgraph rules over the
 # module-wide call graph) that enforce the simulator's own invariants at
 # compile time. -stale-allows additionally fails on //nescheck:allow
@@ -60,7 +60,7 @@ race:
 tier2: vet fmt-check lint perf-gate modelcheck-smoke adversary-smoke bench
 	$(GO) test -race ./...
 
-# perf-gate re-runs the headline experiments (table2, sqlservice, mlservice,
+# perf-gate re-runs the headline experiments (table2, sqlservice, fig9,
 # switchless) and compares their simulated-cycle metrics — histogram
 # means/counts, walk and paging counters, total cycles, and the gated extras
 # (per-op ocall cycles on both paths, allocations per nested walk, ring
@@ -73,7 +73,7 @@ perf-gate:
 	$(GO) run ./cmd/repro -gate baselines
 
 baselines:
-	$(GO) run ./cmd/repro -only table2,sqlservice,mlservice,switchless -json baselines
+	$(GO) run ./cmd/repro -only table2,sqlservice,fig9,switchless -json baselines
 
 tier3:
 	$(GO) vet ./...

@@ -29,6 +29,7 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -128,18 +129,6 @@ func experiments() []experiment {
 			fmt.Print(p.RenderAgreements())
 			return nil
 		}},
-		{"mlservice", "nested ML (LibSVM) service", func(full bool) error {
-			scale := 0.02
-			if full {
-				scale = 0.2
-			}
-			rows, err := bench.Figure9(scale)
-			if err != nil {
-				return err
-			}
-			fmt.Println(bench.RenderFigure9(rows, scale))
-			return nil
-		}},
 		{"fig10", "enclave loading and footprint", func(full bool) error {
 			cfg := bench.DefaultFigure10Config()
 			if full {
@@ -222,7 +211,7 @@ func writeSnapshot(dir string, snap *bench.ExperimentSnapshot) error {
 
 // gateExperiments names the headline experiments with committed baselines;
 // `repro -gate <dir>` re-runs exactly these.
-var gateExperiments = []string{"table2", "sqlservice", "mlservice", "switchless"}
+var gateExperiments = []string{"table2", "sqlservice", "fig9", "switchless"}
 
 // runGate is the -gate mode: re-run the headline experiments and compare
 // their cycle-derived metrics against the BENCH_<name>.json baselines in
@@ -476,19 +465,12 @@ func main() {
 	want := map[string]bool{}
 	if *only != "" {
 		for _, n := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(n)] = true
-		}
-		for n := range want {
-			found := false
-			for _, e := range exps {
-				if e.name == n {
-					found = true
-				}
-			}
-			if !found {
+			n = strings.TrimSpace(n)
+			if !slices.ContainsFunc(exps, func(e experiment) bool { return e.name == n }) {
 				fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", n)
 				os.Exit(2)
 			}
+			want[n] = true
 		}
 	}
 	failed := false

@@ -8,16 +8,22 @@
 //
 //	determinism  — no wall clock, global RNG state, or order-dependent map
 //	               iteration in replay-critical packages
-//	boundary     — trusted enclave code must not write secrets to untrusted
-//	               sinks without sealing
-//	lockorder    — machine-level locks are acquired before EPCM/page-table
-//	               locks, never the reverse
+//	boundary     — trusted enclave code must not write to untrusted sinks
+//	               (console, trace events) at all unless sealed
 //	attribution  — calls into the billed memory hierarchy (epc, mee) thread
 //	               BillEID/ChargeTo so per-enclave accounting stays complete
 //	errcheck     — fault-returning APIs (mee.New, kos allocation, the sdk
 //	               ECall family) may not have their errors discarded
 //	spanpair     — every Recorder.BeginSpan in the span-opening layers (sdk,
 //	               sgx, core) has its End called on all paths
+//	secretflow   — secrets (seal keys, the REPORT MAC key, unsealed
+//	               plaintext) do not reach host-visible sinks, traced
+//	               through the call graph
+//	atomicsafety — a field accessed via sync/atomic is never touched
+//	               plainly; //nescheck:guard fields only under their lock
+//	lockgraph    — the module-wide lock graph is acyclic, follows the
+//	               declared ranks (machine locks before the page-table
+//	               lock), and no lock is held across a domain transition
 //
 // Findings carry a rule ID (family/check) and can be suppressed with an
 // explicit, reasoned directive:
@@ -63,7 +69,7 @@ func ruleFamily(rule string) string {
 // rules set RunProgram and receive the module-wide call graph and summaries.
 // Exactly one of the two must be set.
 type Analyzer struct {
-	// Name is the rule family ("determinism", "lockorder", ...). Every
+	// Name is the rule family ("determinism", "lockgraph", ...). Every
 	// finding the analyzer reports must use "Name" or "Name/<check>" as its
 	// rule ID.
 	Name string
@@ -81,7 +87,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
 		Boundary,
-		LockOrder,
 		Attribution,
 		ErrCheck,
 		SpanPair,

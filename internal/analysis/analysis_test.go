@@ -77,8 +77,8 @@ func TestAllCatalogIsWellFormed(t *testing.T) {
 		}
 		seen[a.Name] = true
 	}
-	if len(seen) != 9 {
-		t.Errorf("expected the 9 house analyzers, got %d", len(seen))
+	if len(seen) != 8 {
+		t.Errorf("expected the 8 house analyzers, got %d", len(seen))
 	}
 }
 
@@ -154,14 +154,40 @@ func TestCatalogEntriesResolve(t *testing.T) {
 			rows = append(rows, catalogRow{"billableMethods", r.pkgSuffix, r.typeName, m, false})
 		}
 	}
-	for _, r := range lockOwners {
-		rows = append(rows, catalogRow{"lockOwners", r.pkgSuffix, r.typeName, "*", false})
-	}
 	for _, r := range rows {
 		if !catalogRowResolves(pkgs, r) {
 			t.Errorf("%s row {%s %s %s} names nothing the module declares", r.table, r.pkgSuffix, r.typeName, r.name)
 		}
 	}
+	// A rank row ranks the mutex fields of its type, so the type must
+	// declare at least one.
+	for _, r := range lockRanks {
+		if !declaresMutex(pkgs, r.pkgSuffix, r.typeName) {
+			t.Errorf("lockRanks row {%s %s} names no type with a sync.Mutex/RWMutex field", r.pkgSuffix, r.typeName)
+		}
+	}
+}
+
+func declaresMutex(pkgs []*Package, pkgSuffix, typeName string) bool {
+	for _, pkg := range pkgs {
+		if !pathMatches(pkg.Path, pkgSuffix) {
+			continue
+		}
+		tn, ok := pkg.Types.Scope().Lookup(typeName).(*types.TypeName)
+		if !ok {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if isSyncMutexType(st.Field(i).Type()) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func catalogRowResolves(pkgs []*Package, r catalogRow) bool {

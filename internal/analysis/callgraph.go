@@ -11,10 +11,10 @@ package analysis
 //
 // Precision model (shared by all three rules):
 //
-//   - The held-lock set is a source-order linear scan per function body, the
-//     same approximation the intraprocedural lockorder rule uses: an acquire
-//     inside a conditional counts as held for the rest of the body, and a
-//     `defer mu.Unlock()` holds to function exit. This over-approximates.
+//   - The held-lock set is a source-order linear scan per function body: an
+//     acquire inside a conditional counts as held for the rest of the body,
+//     and a `defer mu.Unlock()` holds to function exit. This
+//     over-approximates.
 //   - Function literals are flattened into their enclosing declaration: the
 //     closure's lock operations, calls, and field accesses are attributed to
 //     the function that syntactically contains it. A literal only invoked

@@ -6,8 +6,9 @@ import (
 )
 
 // replayCriticalPkgs are the packages whose behaviour must replay bit-for-bit
-// from a seed: the machine model, its oracle, and the harnesses that drive
-// them. Wall clock and global RNG state are forbidden module-wide; the
+// from a seed: the machine model, its oracle, the harnesses that drive them,
+// and the experiment harness whose printed results must be byte-identical
+// from run to run. Wall clock and global RNG state are forbidden module-wide; the
 // map-iteration check is confined to these, where iteration order feeding
 // state or output would silently diverge replays.
 var replayCriticalPkgs = []string{
@@ -19,6 +20,8 @@ var replayCriticalPkgs = []string{
 	"internal/channel",
 	"internal/adversary",
 	"internal/switchless",
+	"internal/bench",
+	"cmd/repro",
 }
 
 // injectRandPkgs are workload generators: deterministic corpora are their

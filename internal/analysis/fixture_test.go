@@ -115,7 +115,6 @@ func runFixture(t *testing.T, rule string, analyzers []*Analyzer) {
 
 func TestDeterminismFixture(t *testing.T) { runFixture(t, "determinism", []*Analyzer{Determinism}) }
 func TestBoundaryFixture(t *testing.T)    { runFixture(t, "boundary", []*Analyzer{Boundary}) }
-func TestLockOrderFixture(t *testing.T)   { runFixture(t, "lockorder", []*Analyzer{LockOrder}) }
 func TestAttributionFixture(t *testing.T) { runFixture(t, "attribution", []*Analyzer{Attribution}) }
 func TestErrCheckFixture(t *testing.T)    { runFixture(t, "errcheck", []*Analyzer{ErrCheck}) }
 func TestSpanPairFixture(t *testing.T)    { runFixture(t, "spanpair", []*Analyzer{SpanPair}) }

@@ -1,10 +1,9 @@
 package analysis
 
-// lockgraph: the global lock-acquisition graph. Where lockorder checks the
-// machine→page class ordering inside single functions, this rule sees every
-// mutex field of every module struct, adds the edges a function creates
-// *through its callees* (f holds A and calls g, which may acquire B — edge
-// A→B even though no single function holds both), and reports:
+// lockgraph: the global lock-acquisition graph. The rule sees every mutex
+// field of every module struct, adds the edges a function creates *through
+// its callees* (f holds A and calls g, which may acquire B — edge A→B even
+// though no single function holds both), and reports:
 //
 //   - cycle:           a cross-function cycle among distinct locks, with the
 //                      full path (each edge cites the function, position,
@@ -12,6 +11,10 @@ package analysis
 //   - self-cycle:      a lock (re-)acquired while already held — Go mutexes
 //                      are not reentrant, so this is a self-deadlock unless
 //                      both holds are read locks;
+//   - rank:            every acquisition, direct or through a callee, of a
+//                      lower-rank lock while a higher-rank one is held (see
+//                      lockRanks) — the declared hierarchy, checked even
+//                      where no reverse edge has closed a cycle yet;
 //   - held-transition: any module lock held across a domain transition
 //                      (ECall/OCall/NECall families, the sgx entry/exit
 //                      instructions, a switchless ring submit). A transition
@@ -29,7 +32,7 @@ import (
 // LockGraph is the interprocedural lock-ordering and transition rule.
 var LockGraph = &Analyzer{
 	Name: "lockgraph",
-	Doc:  "the module-wide lock graph is acyclic and no lock is held across a domain transition",
+	Doc:  "the module-wide lock graph is acyclic, follows the declared lock ranks, and no lock is held across a domain transition",
 	RunProgram: func(pass *ProgramPass) {
 		p := pass.Prog
 		edges := collectLockEdges(p)
@@ -50,6 +53,26 @@ var LockGraph = &Analyzer{
 
 		// Cross-lock cycles: one finding per strongly connected component.
 		reportLockCycles(pass, edges)
+
+		// Rank inversions: every witness, not one per (from, to) pair, so
+		// each inverting site is reported at its own line.
+		walkLockEdges(p, func(e lockEdge) {
+			held, ok := lockRank(e.from)
+			if !ok {
+				return
+			}
+			acq, ok := lockRank(e.to)
+			if !ok || acq >= held {
+				return
+			}
+			via := ""
+			if e.via != nil {
+				via = " via " + e.via.name
+			}
+			pass.Reportf(e.pos, "lockgraph/rank",
+				"%s acquires the rank-%d %s%s while holding the rank-%d %s; machine-level locks come before page-table locks",
+				e.fn.name, acq, lockDisplay(e.to), via, held, lockDisplay(e.from))
+		})
 
 		// Held-across-transition.
 		for _, n := range p.nodes {
@@ -73,25 +96,45 @@ var LockGraph = &Analyzer{
 	},
 }
 
-// collectLockEdges builds the deduplicated global edge list: direct edges
-// from each function's scan, plus held×callee-mayAcquire edges at each call
-// site. The first witness (in deterministic node/source order) represents
-// each (from, to) pair.
-func collectLockEdges(p *Program) []lockEdge {
-	type key struct{ from, to *types.Var }
-	seen := make(map[key]bool)
-	var out []lockEdge
-	add := func(e lockEdge) {
-		k := key{e.from, e.to}
-		if seen[k] {
-			return
-		}
-		seen[k] = true
-		out = append(out, e)
+// lockRanks is the declared lock hierarchy, by the struct that owns the
+// mutex field: a thread holding a rank-r lock may only acquire locks of rank
+// r or above. Machine-level mutexes (sgx.Machine, kos.Kernel) are rank 0 and
+// the page-table lock rank 1. Page-table writers run under the machine's
+// world view: a machine-lock holder may publish page-table updates, as an
+// eviction that shoots down the inner enclaves' TLBs does, so a thread that
+// takes the page-table lock and then blocks on the machine lock deadlocks
+// against it.
+var lockRanks = []struct {
+	pkgSuffix string
+	typeName  string
+	rank      int
+}{
+	{"internal/sgx", "Machine", 0},
+	{"internal/kos", "Kernel", 0},
+	{"internal/pt", "Table", 1},
+}
+
+// lockRank returns the declared rank of a mutex field, if its owner has one.
+func lockRank(v *types.Var) (int, bool) {
+	if v.Pkg() == nil {
+		return 0, false
 	}
+	owner := fieldOwner(v)
+	for _, r := range lockRanks {
+		if owner == r.typeName && pathMatches(v.Pkg().Path(), r.pkgSuffix) {
+			return r.rank, true
+		}
+	}
+	return 0, false
+}
+
+// walkLockEdges visits every lock-order witness in deterministic node/source
+// order: direct edges from each function's scan, plus held×callee-mayAcquire
+// edges at each call site.
+func walkLockEdges(p *Program, visit func(lockEdge)) {
 	for _, n := range p.nodes {
 		for _, e := range n.localEdges {
-			add(e)
+			visit(e)
 		}
 		for _, cs := range n.calls {
 			if len(cs.held) == 0 {
@@ -107,11 +150,26 @@ func collectLockEdges(p *Program) []lockEdge {
 					if h.lock == lock && h.shared && w.shared {
 						continue // RLock while RLock-held: permitted reentrancy
 					}
-					add(lockEdge{from: h.lock, to: lock, fn: n, pos: cs.pos, via: callee, shared: h.shared})
+					visit(lockEdge{from: h.lock, to: lock, fn: n, pos: cs.pos, via: callee, shared: h.shared})
 				}
 			}
 		}
 	}
+}
+
+// collectLockEdges builds the deduplicated global edge list: the first
+// witness walkLockEdges visits represents each (from, to) pair.
+func collectLockEdges(p *Program) []lockEdge {
+	type key struct{ from, to *types.Var }
+	seen := make(map[key]bool)
+	var out []lockEdge
+	walkLockEdges(p, func(e lockEdge) {
+		k := key{e.from, e.to}
+		if !seen[k] {
+			seen[k] = true
+			out = append(out, e)
+		}
+	})
 	return out
 }
 

@@ -4,5 +4,5 @@ package sgx
 import "sync"
 
 type Machine struct {
-	Mu sync.Mutex
+	Mu sync.RWMutex
 }

@@ -5,7 +5,9 @@ import (
 	"crypto/cipher"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 
@@ -98,7 +100,8 @@ func (r *ChaosReport) String() string {
 	fmt.Fprintf(&b, "chaos soak: %d ops, %d failed (typed errors), svc restarts %d, client restarts %d\n",
 		r.Ops, r.Failed, r.SvcRestarts, r.ClientRestarts)
 	fmt.Fprintf(&b, "side channel: %d sent, %d delivered\n", r.ChannelSent, r.ChannelDelivered)
-	for site, s := range r.Stats {
+	for _, site := range slices.Sorted(maps.Keys(r.Stats)) {
+		s := r.Stats[site]
 		fmt.Fprintf(&b, "  %-12s injected %4d  recovered %4d\n", site, s.Injected, s.Recovered)
 	}
 	if len(r.Violations) == 0 {
@@ -162,6 +165,10 @@ type chaosHarness struct {
 	cliSup *sdk.Supervisor
 }
 
+// chaosScratch is the trusted-heap staging region each side of the chaos
+// service writes per query.
+const chaosScratch = 8 << 10
+
 // buildChaosService deploys the nested SQL service with both enclaves under
 // supervision: the stateful engine recovers from sealed checkpoints, the
 // stateless client just reloads. Association is re-established by the
@@ -186,24 +193,9 @@ func buildChaosService(r *Rig) (*chaosHarness, error) {
 		// large as the client's, so injected faults land on service pages
 		// with comparable odds — that is what makes the sealed-checkpoint
 		// recovery path fire, not just client reloads.
-		const scratch = 8 << 10
-		buf, merr := env.Malloc(scratch)
-		if merr != nil {
-			return nil, merr
-		}
-		page := make([]byte, scratch)
-		for i := range page {
-			page[i] = args[i%len(args)]
-		}
-		if werr := env.Write(buf, page); werr != nil {
-			return nil, werr
-		}
-		staged, gerr := env.Read(buf, len(args))
-		if gerr != nil {
-			return nil, gerr
-		}
-		if ferr := env.Free(buf); ferr != nil {
-			return nil, ferr
+		staged, serr := stage(env, args, chaosScratch)
+		if serr != nil {
+			return nil, serr
 		}
 		q := string(staged)
 		parsed, perr := sqldb.Parse(q)
@@ -264,24 +256,9 @@ func buildChaosService(r *Rig) (*chaosHarness, error) {
 		// the soak machine's LLC, so every call streams lines through the
 		// MEE — the surface where bit flips, interrupt storms, and core
 		// stalls land.
-		const scratch = 8 << 10
-		buf, merr := env.Malloc(scratch)
-		if merr != nil {
-			return nil, merr
-		}
-		page := make([]byte, scratch)
-		for i := range page {
-			page[i] = rewritten[i%len(rewritten)]
-		}
-		if werr := env.Write(buf, page); werr != nil {
-			return nil, werr
-		}
-		staged, gerr := env.Read(buf, len(rewritten))
-		if gerr != nil {
-			return nil, gerr
-		}
-		if ferr := env.Free(buf); ferr != nil {
-			return nil, ferr
+		staged, serr := stage(env, []byte(rewritten), chaosScratch)
+		if serr != nil {
+			return nil, serr
 		}
 		if string(staged) != rewritten {
 			return nil, fmt.Errorf("chaos: staged query corrupted in enclave heap")
@@ -520,7 +497,8 @@ func ChaosSoak(cfg ChaosConfig) (*ChaosReport, error) {
 	r.K.SetChaos(nil)
 	rx.SetChaos(nil)
 
-	for key, acceptable := range oracle {
+	for _, key := range slices.Sorted(maps.Keys(oracle)) {
+		acceptable := oracle[key]
 		out, cerr := h.call(fmt.Sprintf("SELECT field0 FROM usertable WHERE ycsb_key = %d", key))
 		if cerr != nil {
 			rep.Violations = append(rep.Violations, fmt.Sprintf("final audit of key %d: %v", key, cerr))

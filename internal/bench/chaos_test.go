@@ -80,3 +80,26 @@ func TestChaosSoakReplaysDeterministically(t *testing.T) {
 	}
 	_ = chaos.ErrTransient
 }
+
+// TestChaosSoakStringIsByteIdentical pins what `repro -chaos` prints: two
+// runs of one config render byte-identical reports, per-site lines included.
+func TestChaosSoakStringIsByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	cfg := ChaosConfig{Seed: 7, Ops: 120, Records: 40}
+	a, err := ChaosSoak(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ChaosSoak(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Stats) < 2 {
+		t.Fatalf("only %d sites fired; the report has no order to get wrong", len(a.Stats))
+	}
+	if sa, sb := a.String(), b.String(); sa != sb {
+		t.Errorf("reports differ:\n%s\nvs\n%s", sa, sb)
+	}
+}

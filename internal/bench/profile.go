@@ -77,20 +77,37 @@ func profileQueries(n int) (setup, queries []string) {
 
 // stage round-trips b through the enclave's trusted heap via the
 // hardware-validated access path, forcing the TLB refills and page walks the
-// transition flushes make inevitable.
-func stage(env *sdk.Env, b []byte) ([]byte, error) {
+// transition flushes make inevitable: Malloc, Write, Read, Free. The region
+// is max(len(b), scratch) bytes, written in full with b repeated, and only
+// len(b) bytes are read back. A failed step returns at once without the
+// Free: the enclave it failed in is crashed or poisoned, and its heap goes
+// with it.
+func stage(env *sdk.Env, b []byte, scratch int) ([]byte, error) {
 	if len(b) == 0 {
 		return b, nil
 	}
-	buf, err := env.Malloc(len(b))
+	src := b
+	if scratch > len(b) {
+		src = make([]byte, scratch)
+		for i := range src {
+			src[i] = b[i%len(b)]
+		}
+	}
+	buf, err := env.Malloc(len(src))
 	if err != nil {
 		return nil, err
 	}
-	defer func() { _ = env.Free(buf) }()
-	if err := env.Write(buf, b); err != nil {
+	if err := env.Write(buf, src); err != nil {
 		return nil, err
 	}
-	return env.Read(buf, len(b))
+	out, err := env.Read(buf, len(b))
+	if err != nil {
+		return nil, err
+	}
+	if err := env.Free(buf); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // BuildSQLServiceStaged deploys the nested SQL service with heap staging on
@@ -102,14 +119,14 @@ func BuildSQLServiceStaged(r *Rig) (*SQLService, error) {
 	svcImg := sdk.NewImage("sqlite-svc", 0x2000_0000, sdk.DefaultLayout())
 	clientImg := sdk.NewImage("sql-client", 0x1000_0000, sdk.DefaultLayout())
 	svcImg.RegisterNOCall("sql_exec", func(env *sdk.Env, args []byte) ([]byte, error) {
-		staged, err := stage(env, args)
+		staged, err := stage(env, args, 0)
 		if err != nil {
 			return nil, err
 		}
 		return execAndRender(s.db, string(staged))
 	})
 	clientImg.RegisterECall("query", func(env *sdk.Env, args []byte) ([]byte, error) {
-		staged, err := stage(env, args)
+		staged, err := stage(env, args, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -293,16 +293,6 @@ func (inj *Injector) Injected(site Site) int64 {
 	return inj.sites[site].injected
 }
 
-// RecoveredCount returns how many recoveries have been credited to the site.
-func (inj *Injector) RecoveredCount(site Site) int64 {
-	if inj == nil {
-		return 0
-	}
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	return inj.sites[site].recovered
-}
-
 // Stats snapshots every site's injection/recovery tally, keyed by site name.
 // Sites with no activity are omitted.
 func (inj *Injector) Stats() map[string]SiteStats {

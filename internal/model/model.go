@@ -791,13 +791,6 @@ func (o *Oracle) ELD(owner isa.EID, page int, vaddr uint64, t isa.PageType, perm
 	return VOK
 }
 
-// BlobVersion reports the oracle's current freshness counter and outstanding
-// flag for a paging lane (harness introspection).
-func (o *Oracle) BlobVersion(owner isa.EID, vaddr uint64) (uint64, bool) {
-	key := BlobKey{Owner: owner, Vaddr: vaddr}
-	return o.blobVer[key], o.blobOut[key]
-}
-
 // --- snapshotting (for divergence reports) ---
 
 // DumpTLB renders core i's TLB deterministically, for divergence messages.

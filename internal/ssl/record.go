@@ -108,13 +108,3 @@ func (s *Server) ProcessRecord(rec []byte, handler func(req []byte) []byte) ([]b
 		return nil, fmt.Errorf("ssl: unexpected record type %d", typ)
 	}
 }
-
-// HeapAddrOfNextAlloc is a test hook: it allocates and immediately frees n
-// bytes, returning the address a subsequent allocation of n bytes will get.
-func (s *Server) HeapAddrOfNextAlloc(n int) (isa.VAddr, error) {
-	a, err := s.mem.Malloc(n)
-	if err != nil {
-		return 0, err
-	}
-	return a, s.mem.Free(a)
-}

@@ -107,33 +107,3 @@ func (l *EventLog) Snapshot() []Record {
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
-
-// RecordFilter selects records; see ByEID/ByCore/ByEvent.
-type RecordFilter func(Record) bool
-
-// ByEID keeps records billed to the enclave.
-func ByEID(eid uint64) RecordFilter { return func(r Record) bool { return r.EID == eid } }
-
-// ByCore keeps records from the core.
-func ByCore(core int) RecordFilter { return func(r Record) bool { return r.Core == int32(core) } }
-
-// ByEvent keeps records of the event.
-func ByEvent(e Event) RecordFilter { return func(r Record) bool { return r.Event == e } }
-
-// FilterRecords returns the records matching every filter.
-func FilterRecords(recs []Record, filters ...RecordFilter) []Record {
-	var out []Record
-	for _, r := range recs {
-		ok := true
-		for _, f := range filters {
-			if !f(r) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, r)
-		}
-	}
-	return out
-}

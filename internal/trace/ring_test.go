@@ -91,27 +91,3 @@ func TestEventLogConcurrentAppend(t *testing.T) {
 		}
 	}
 }
-
-func TestRecordFilters(t *testing.T) {
-	recs := []Record{
-		{Seq: 1, EID: 1, Core: 0, Event: EvEENTER},
-		{Seq: 2, EID: 2, Core: 1, Event: EvNEENTER},
-		{Seq: 3, EID: 1, Core: 0, Event: EvEEXIT},
-		{Seq: 4, EID: 2, Core: 0, Event: EvNEEXIT},
-	}
-	if got := FilterRecords(recs, ByEID(1)); len(got) != 2 {
-		t.Fatalf("ByEID(1): %d records", len(got))
-	}
-	if got := FilterRecords(recs, ByCore(0)); len(got) != 3 {
-		t.Fatalf("ByCore(0): %d records", len(got))
-	}
-	if got := FilterRecords(recs, ByEvent(EvNEENTER)); len(got) != 1 || got[0].Seq != 2 {
-		t.Fatalf("ByEvent: %v", got)
-	}
-	if got := FilterRecords(recs, ByEID(2), ByCore(0)); len(got) != 1 || got[0].Seq != 4 {
-		t.Fatalf("combined filters: %v", got)
-	}
-	if got := FilterRecords(recs); len(got) != 4 {
-		t.Fatalf("no filters: %d records", len(got))
-	}
-}

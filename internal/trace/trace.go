@@ -254,23 +254,6 @@ func (t *Counters) Snapshot() map[string]int64 {
 	return cs.Map()
 }
 
-// Diff returns counters accumulated since the snapshot prev.
-func (t *Counters) Diff(prev map[string]int64) map[string]int64 {
-	cur := t.Snapshot()
-	out := make(map[string]int64)
-	for k, v := range cur {
-		if d := v - prev[k]; d != 0 {
-			out[k] = d
-		}
-	}
-	for k, v := range prev {
-		if _, ok := cur[k]; !ok && v != 0 {
-			out[k] = -v
-		}
-	}
-	return out
-}
-
 func (t *Counters) String() string {
 	snap := t.Snapshot()
 	keys := make([]string, 0, len(snap))
@@ -488,7 +471,7 @@ func (r *Recorder) HistSnapshots() map[string]HistSnapshot {
 
 // Region is a named measurement scope used by the bench harness to attribute
 // counter deltas to workload phases. Regions are independent snapshots over
-// the recorder's atomic counters: concurrent BeginRegion/End calls on
+// the recorder's atomic counters: concurrent BeginRegion/EndInto calls on
 // different regions (or different recorders) never contend.
 type Region struct {
 	Name  string
@@ -496,22 +479,15 @@ type Region struct {
 	rec   *Recorder
 }
 
-// BeginRegion snapshots the recorder for a later End.
+// BeginRegion snapshots the recorder for a later EndInto.
 func (r *Recorder) BeginRegion(name string) *Region {
 	reg := &Region{Name: name, rec: r}
 	r.Counters.SnapshotInto(&reg.start)
 	return reg
 }
 
-// End returns the counter deltas since the region began, in map form.
-func (reg *Region) End() map[string]int64 {
-	var d CounterSet
-	reg.EndInto(&d)
-	return d.Map()
-}
-
 // EndInto stores the counter deltas since the region began into dst without
-// allocating — the hot-path form for per-iteration measurement loops.
+// allocating.
 func (reg *Region) EndInto(dst *CounterSet) {
 	reg.rec.Counters.DiffInto(&reg.start, dst)
 }
