@@ -64,8 +64,11 @@ func loadWants(root string) ([]*wantAnn, error) {
 }
 
 // checkFixture loads the fixture tree at root, runs the analyzers, and
-// returns one problem string per mismatch between findings and wants.
-func checkFixture(root string, analyzers []*Analyzer) ([]string, error) {
+// returns one problem string per mismatch between findings and wants. A
+// non-nil keep narrows the check to the rules it accepts: a finding takes
+// part if keep accepts its rule, a want if keep accepts the rule its pattern
+// begins with (the text before the first ':').
+func checkFixture(root string, analyzers []*Analyzer, keep func(rule string) bool) ([]string, error) {
 	abs, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
@@ -79,8 +82,24 @@ func checkFixture(root string, analyzers []*Analyzer) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	if keep != nil {
+		var kept []*wantAnn
+		for _, w := range wants {
+			rule, _, _ := strings.Cut(w.pattern, ":")
+			if keep(rule) {
+				kept = append(kept, w)
+			}
+		}
+		if len(kept) == 0 {
+			return nil, fmt.Errorf("no want in %s names a selected rule", root)
+		}
+		wants = kept
+	}
 	var problems []string
 	for _, f := range findings {
+		if keep != nil && !keep(f.Rule) {
+			continue
+		}
 		text := f.Rule + ": " + f.Msg
 		matched := false
 		for _, w := range wants {
@@ -104,7 +123,13 @@ func checkFixture(root string, analyzers []*Analyzer) ([]string, error) {
 // runFixture asserts a rule's fixture tree and its wants agree exactly.
 func runFixture(t *testing.T, rule string, analyzers []*Analyzer) {
 	t.Helper()
-	problems, err := checkFixture(filepath.Join("testdata", "src", rule), analyzers)
+	runFixtureRules(t, rule, analyzers, nil)
+}
+
+// runFixtureRules is runFixture narrowed to the rules keep accepts.
+func runFixtureRules(t *testing.T, rule string, analyzers []*Analyzer, keep func(rule string) bool) {
+	t.Helper()
+	problems, err := checkFixture(filepath.Join("testdata", "src", rule), analyzers, keep)
 	if err != nil {
 		t.Fatalf("fixture %s: %v", rule, err)
 	}
@@ -123,14 +148,26 @@ func TestSecretFlowFixture(t *testing.T) { runFixture(t, "secretflow", []*Analyz
 func TestAtomicSafetyFixture(t *testing.T) {
 	runFixture(t, "atomicsafety", []*Analyzer{AtomicSafety})
 }
-func TestLockGraphFixture(t *testing.T) { runFixture(t, "lockgraph", []*Analyzer{LockGraph}) }
+
+// The lockgraph tree is checked in two halves: TestLockOrderFixture owns the
+// declared-rank findings (machine-level locks before the page-table lock)
+// and TestLockGraphFixture every other lockgraph rule (cycles, self-cycles,
+// locks held across a transition).
+func isRankRule(rule string) bool { return rule == "lockgraph/rank" }
+
+func TestLockGraphFixture(t *testing.T) {
+	runFixtureRules(t, "lockgraph", []*Analyzer{LockGraph}, func(rule string) bool { return !isRankRule(rule) })
+}
+func TestLockOrderFixture(t *testing.T) {
+	runFixtureRules(t, "lockgraph", []*Analyzer{LockGraph}, isRankRule)
+}
 
 // TestMetaHarness proves the fixture runner itself cannot silently pass: the
 // meta tree contains a want annotation on a clean line (stale) and a real
 // violation with no want (unexpected), and checkFixture must flag both. If
 // this test fails, every green fixture test above is meaningless.
 func TestMetaHarness(t *testing.T) {
-	problems, err := checkFixture(filepath.Join("testdata", "src", "meta"), []*Analyzer{Determinism, LockGraph})
+	problems, err := checkFixture(filepath.Join("testdata", "src", "meta"), []*Analyzer{Determinism, LockGraph}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
